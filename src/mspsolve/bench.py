@@ -28,8 +28,9 @@ from .core import MatrixHandle, as_vector, operator_of
 from .errors import DomainError, MspError
 from .general import GeneralSolveConfig, solve_normal
 from .instances import InstanceSpec, gen_instance
-from .lanczos import SolveMContract, preconditioned_lanczos, ritz_values
-from .psd import PsdSolveConfig, _ritz_kappa, solve_psd
+# preconditioned_lanczos is unused here, but tracers rebind it by this name.
+from .lanczos import SolveMContract, preconditioned_lanczos  # noqa: F401
+from .psd import PsdSolveConfig, _ritz_kappa, solve_psd, two_phase_lanczos
 from .report import SCHEMA_VERSION, SolveReport
 
 SOLVERS = ("plain-lanczos", "msp-psd", "msp-general", "dense-direct")
@@ -41,7 +42,6 @@ def solve_plain_lanczos(
     *,
     lam: float = 0.0,
     eps: float = 1e-8,
-    t_max_override: Optional[int] = None,
     trace=None,
     tun: Tunables = DEFAULT,
 ) -> SolveReport:
@@ -52,6 +52,7 @@ def solve_plain_lanczos(
     counts are comparable like for like.  The stopping rule is the plain
     2-norm relative residual <= eps — a weaker bar than the preconditioned
     solver's energy-norm certificate, which only flatters this baseline.
+    Unlike the msp solvers, level1 counts the warmup iterations too.
     """
     t0 = time.perf_counter()
     a = a if isinstance(a, MatrixHandle) else MatrixHandle(np.asarray(a, dtype=float))
@@ -78,47 +79,28 @@ def solve_plain_lanczos(
         )
 
     identity_m = SolveMContract(apply=lambda r: r.copy(), eps0=0.0)
-    x, ws = preconditioned_lanczos(
-        b_op, b, identity_m,
-        t_max=tun.warmup_iters, residual_target=eps, check_every=1, tun=tun,
+    x, warm, main, _, _ = two_phase_lanczos(
+        b_op, b, lambda kappa: (identity_m, {}), float(n), eps,
+        lambda theta: (eps, {}), eps, trace=trace, tun=tun,
     )
-    warmup = ws.iterations
-    matvecs = ws.n_matvec
-    history = [[i, r] for i, r in ws.checkpoints]
-    level1 = warmup
-    status, stop_reason = ws.status, ws.stop_reason
-    kappa_b = _ritz_kappa(ws, tun)
-    main_ws = ws
-
-    if ws.status not in ("converged", "breakdown"):
-        kappa = kappa_b if kappa_b is not None else float(n)
-        t_max = t_max_override or int(
-            math.ceil(tun.t_factor * math.sqrt(kappa)
-                      * math.log(max(kappa / eps, math.e)))
-        )
-        t_max = min(max(t_max, tun.warmup_iters), 2 * n)
-        x, main_ws = preconditioned_lanczos(
-            b_op, b, identity_m,
-            t_max=t_max, residual_target=eps, check_every=tun.check_every,
-            trace=trace, tun=tun,
-        )
-        level1 += main_ws.iterations
-        matvecs += main_ws.n_matvec
-        history += [[warmup + i, r] for i, r in main_ws.checkpoints]
-        status, stop_reason = main_ws.status, main_ws.stop_reason
-
+    history = [[i, r] for i, r in warm.checkpoints]
+    runs = [warm]
+    if main is not None:
+        history += [[warm.iterations + i, r] for i, r in main.checkpoints]
+        runs.append(main)
     return SolveReport(
         x=x,
-        status=status,
+        status=runs[-1].status,
         method="plain-lanczos",
-        iterations={"level1": level1, "warmup": warmup},
-        matvecs=matvecs,
+        iterations={"level1": sum(ws.iterations for ws in runs), "warmup": warm.iterations},
+        matvecs=sum(ws.n_matvec for ws in runs),
         residual_history=history,
-        kappa_m_estimate=kappa_b,
+        # The raw Ritz estimate: None where the warmup's Ritz values give none.
+        kappa_m_estimate=_ritz_kappa(warm, tun),
         wall_ms=(time.perf_counter() - t0) * 1e3,
         config_echo=config_echo,
-        stop_reason=stop_reason,
-        workspace=main_ws,
+        stop_reason=runs[-1].stop_reason,
+        workspace=runs[-1],
     )
 
 

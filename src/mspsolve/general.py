@@ -32,40 +32,16 @@ import scipy.sparse as sp
 
 from .config import DEFAULT, Tunables, sketch_nnz_per_column, sketch_rows
 from .core import MatrixHandle, as_vector, power_method_norm
-from .errors import DomainError, InconsistentEstimate, SketchRankCollapse
-from .lanczos import preconditioned_lanczos, ritz_values
-from .nystrom import _jitter_ladder
-from .psd import PsdSolveConfig, _ritz_kappa, clamp_rank, solve_psd
+from .errors import DomainError, InconsistentEstimate
+from .lanczos import preconditioned_lanczos
+from .nystrom import _SEED_EST, _SEED_OSE, _SEED_PROBE, jittered_cholesky
+from .psd import PsdSolveConfig, clamp_rank, energy_certificate, solve_psd, two_phase_lanczos
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
 
-_SEED_OSE = 1
-_SEED_PROBE = 2
-_SEED_EST = 5
 
-
-@dataclass
-class GeneralSolveConfig:
+class GeneralSolveConfig(PsdSolveConfig):
     """Knobs for one normal-equations solve (see PsdSolveConfig)."""
-
-    l: int
-    lam: float = 0.0
-    eps: float = 1e-8
-    delta: float = 0.01
-    seed: int = 0
-    t_max_override: Optional[int] = None
-    inner_iters_override: Optional[int] = None
-    level3_iters_override: Optional[int] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise DomainError(f"eps must be in (0,1), got {self.eps}")
-        if not (0.0 < self.delta < 0.5):
-            raise DomainError(f"delta must be in (0, 1/2), got {self.delta}")
-        if self.lam < 0.0:
-            raise DomainError(f"lambda must be nonnegative, got {self.lam}")
-        if self.l < 1:
-            raise DomainError(f"rank parameter must be positive, got {self.l}")
 
 
 @dataclass(eq=False)
@@ -162,21 +138,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     at_l = sketch_apply_right(a, emb_l).to_dense()
     w_l = at_l.T @ at_l
     w_l = 0.5 * (w_l + w_l.T)
-    l_chol = None
-    last_exc: Optional[Exception] = None
-    for jitter_l in _jitter_ladder(float(np.trace(w_l)), l_eff, tun):
-        w_lj = w_l.copy()
-        w_lj[np.diag_indices_from(w_lj)] += jitter_l
-        try:
-            l_chol = scipy.linalg.cho_factor(w_lj, lower=True, check_finite=False)
-            break
-        except scipy.linalg.LinAlgError as exc:
-            last_exc = exc
-    if l_chol is None:
-        raise SketchRankCollapse(
-            f"probe Gram ({l_eff}x{l_eff}) failed Cholesky at every jitter "
-            f"level: {last_exc}"
-        )
+    l_chol = jittered_cholesky(w_l, tun, "probe Gram")[0]
     probe_rng = np.random.default_rng([cfg.seed & ((1 << 63) - 1), _SEED_PROBE])
     tail_terms = np.empty(tun.lambda0_probes)
     for p in range(tun.lambda0_probes):
@@ -196,49 +158,35 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     lambda0 = (2.0 / l_eff) * max(est, 1e-12 * frob_sq)
     lambda_tilde = cfg.lam + lambda0
 
-    trace_w = float(np.trace(w))
-    last_exc = None
-    for jitter in _jitter_ladder(trace_w, s, tun):
-        w_j = w.copy()
-        w_j[np.diag_indices_from(w_j)] += jitter
+    def factor_m3(w_j, jitter):
         m3a = gram_hat.copy()
         m3a[np.diag_indices_from(m3a)] += jitter
-        try:
-            w_chol = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
-            m3a_factor = scipy.linalg.cho_factor(m3a, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
-
+        m3a_factor = scipy.linalg.cho_factor(m3a, lower=True, check_finite=False)
         m3b = m3a.copy()
         m3b[np.diag_indices_from(m3b)] += lambda_tilde
-        try:
-            m3b_factor = scipy.linalg.cho_factor(m3b, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
+        m3b_factor = scipy.linalg.cho_factor(m3b, lower=True, check_finite=False)
+        return m3a_factor, m3b_factor
 
-        return GeneralMspState(
-            a=a,
-            a_tilde=a_tilde,
-            a_hat=MatrixHandle(np.asarray(a_hat)),
-            m3a_factor=m3a_factor,
-            m3b_factor=m3b_factor,
-            w_chol=w_chol,
-            lambda_tilde=lambda_tilde,
-            lambda0=lambda0,
-            lam=cfg.lam,
-            jitter=jitter,
-            embedding=emb,
-            l=l_eff,
-            gamma=gamma,
-            seed=cfg.seed,
-            phi_rows=phi.phi,
-            w_j=w_j,
-        )
-
-    raise SketchRankCollapse(
-        f"sketched Gram ({s}x{s}) failed Cholesky at every jitter level: {last_exc}"
+    w_chol, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
+        w, tun, "sketched Gram", then=factor_m3
+    )
+    return GeneralMspState(
+        a=a,
+        a_tilde=a_tilde,
+        a_hat=MatrixHandle(np.asarray(a_hat)),
+        m3a_factor=m3a_factor,
+        m3b_factor=m3b_factor,
+        w_chol=w_chol,
+        lambda_tilde=lambda_tilde,
+        lambda0=lambda0,
+        lam=cfg.lam,
+        jitter=jitter,
+        embedding=emb,
+        l=l_eff,
+        gamma=gamma,
+        seed=cfg.seed,
+        phi_rows=phi.phi,
+        w_j=w_j,
     )
 
 
@@ -336,21 +284,6 @@ def solve_m1_general(
     return (r - a.rmatvec(at @ y)) / lt
 
 
-def _derive_budgets(
-    cfg: GeneralSolveConfig, kappa_m: float, kappa_gram: float, n: int, tun: Tunables
-) -> dict:
-    eps0 = max(tun.eps_floor, cfg.eps / (kappa_m * n))
-    eps1 = max(tun.eps_floor, eps0 / kappa_gram**1.5)
-    eps2 = max(tun.eps_floor, eps0 / (4.0 * kappa_gram * cfg.l))
-    t2 = cfg.inner_iters_override or int(
-        math.ceil(tun.inner_budget_factor * math.log(max(kappa_gram / eps1, math.e)))
-    )
-    t3 = cfg.level3_iters_override or int(
-        math.ceil(tun.inner_budget_factor * math.log(max(9.0 * cfg.l / eps2, math.e)))
-    )
-    return {"t2": t2, "t3": t3, "eps1": eps1, "eps2": eps2, "eps0": eps0}
-
-
 def solve_normal(
     a,
     c: np.ndarray,
@@ -388,7 +321,7 @@ def solve_normal(
         return gx + lam * x if lam != 0.0 else gx
 
     if float(np.linalg.norm(c)) == 0.0:
-        report = SolveReport(
+        return SolveReport(
             x=np.zeros(n), status="converged", method="msp-general",
             iterations={"level1": 0, "warmup": 0, "level2_total": 0,
                         "level3a_total": 0, "level3b_total": 0},
@@ -396,7 +329,6 @@ def solve_normal(
             wall_ms=(time.perf_counter() - t_start) * 1e3,
             config_echo=vars(cfg).copy(), stop_reason="zero-rhs",
         )
-        return report
 
     if state.pm_gram is None:
         def gram_op(x):
@@ -407,93 +339,61 @@ def solve_normal(
     pm = state.pm_gram
     kappa_gram = (pm + lt) / lt
 
-    budgets = _derive_budgets(cfg, kappa_gram, kappa_gram, n, tun)
+    def solve_m_for(kappa):
+        eps0 = max(tun.eps_floor, cfg.eps / (kappa * n))
+        eps1 = max(tun.eps_floor, eps0 / kappa_gram**1.5)
+        eps2 = max(tun.eps_floor, eps0 / (4.0 * kappa_gram * cfg.l))
+        budgets = {
+            "t2": int(math.ceil(tun.inner_budget_factor
+                                * math.log(max(kappa_gram / eps1, math.e)))),
+            "t3": int(math.ceil(tun.inner_budget_factor
+                                * math.log(max(9.0 * cfg.l / eps2, math.e)))),
+            "eps1": eps1, "eps2": eps2, "eps0": eps0,
+        }
 
-    def solve_m(r, _budgets=budgets):
-        return solve_m1_general(state, r, _budgets, counters, tun)
+        def solve_m(r):
+            return solve_m1_general(state, r, budgets, counters, tun)
 
-    kappa_b0 = max(kappa_gram**2, 4.0)
-    target0 = cfg.eps / math.sqrt(kappa_b0)
-    x, ws = preconditioned_lanczos(
-        b_op, c, solve_m,
-        t_max=tun.warmup_iters, residual_target=target0, check_every=1, tun=tun,
+        return solve_m, budgets
+
+    x, warm, main, kappa_m, budget_diag = two_phase_lanczos(
+        b_op, c, solve_m_for, kappa_gram,
+        cfg.eps / math.sqrt(max(kappa_gram**2, 4.0)),
+        energy_certificate(cfg.eps, lt, 1.5 * pm + lam, tun),
+        cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
     )
-    warmup_iters = ws.iterations
-    warmup_history = [[i, r] for i, r in ws.checkpoints]
-    kappa_m = _ritz_kappa(ws, tun)
-
+    last = main or warm
     diagnostics = {
         "l_effective": state.l,
         "l_clamped": state.l != cfg.l,
         "kappa_gram_estimate": kappa_gram,
-        "warmup_status": ws.status,
-        "warmup_history": warmup_history,
+        "warmup_status": warm.status,
+        "warmup_history": [[i, r] for i, r in warm.checkpoints],
         "preconditioner": state.diagnostics(),
+        **budget_diag,
     }
-    level1 = warmup_iters
-    main_ws = ws
-    residual_history = warmup_history
-    status, stop_reason = ws.status, ws.stop_reason
-
-    if ws.status not in ("converged", "breakdown"):
-        if kappa_m is None:
-            kappa_m = kappa_gram
-        theta = ritz_values(ws.tridiag)
-        theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
-        lam_min_b = theta_min * lt / tun.ritz_inflation
-        lam_max_b = 1.5 * pm + lam
-        kappa_b = max(lam_max_b / max(lam_min_b, 1e-300), 1.0)
-        residual_target = max(cfg.eps / math.sqrt(kappa_b), 1e-15)
-
-        t_max = cfg.t_max_override or int(
-            math.ceil(tun.t_factor * math.sqrt(kappa_m)
-                      * math.log(max(kappa_m / cfg.eps, math.e)))
-        )
-        t_max = min(max(t_max, tun.warmup_iters), 2 * n)
-        budgets = _derive_budgets(cfg, kappa_m, kappa_gram, n, tun)
-
-        def solve_m_main(r, _budgets=budgets):
-            return solve_m1_general(state, r, _budgets, counters, tun)
-
-        x, main_ws = preconditioned_lanczos(
-            b_op, c, solve_m_main,
-            t_max=t_max, residual_target=residual_target,
-            check_every=tun.check_every, trace=trace, tun=tun,
-        )
-        level1 = main_ws.iterations
-        residual_history = [[i, r] for i, r in main_ws.checkpoints]
-        status, stop_reason = main_ws.status, main_ws.stop_reason
-        diagnostics.update(
-            {
-                "t_max": t_max,
-                "kappa_b_estimate": kappa_b,
-                "residual_target": residual_target,
-                **{k: budgets[k] for k in ("eps0", "eps1", "eps2", "t2", "t3")},
-            }
-        )
-
     if counters["level2_exhausted"]:
         diagnostics["inner_budget_exhausted"] = counters["level2_exhausted"]
 
     return SolveReport(
         x=x,
-        status=status,
+        status=last.status,
         method="msp-general",
         iterations={
-            "level1": level1,
-            "warmup": warmup_iters,
+            "level1": last.iterations,
+            "warmup": warm.iterations,
             "level2_total": counters["level2_total"],
             "level3a_total": counters["level3a_total"],
             "level3b_total": counters["level3b_total"],
         },
         matvecs=counters["A_applies"] + 2 * tun.power_iters + tun.lambda0_probes,
-        residual_history=residual_history,
+        residual_history=[[i, r] for i, r in last.checkpoints],
         kappa_m_estimate=kappa_m,
         wall_ms=(time.perf_counter() - t_start) * 1e3,
         config_echo=vars(cfg).copy(),
-        stop_reason=stop_reason,
+        stop_reason=last.stop_reason,
         diagnostics=diagnostics,
-        workspace=main_ws,
+        workspace=last,
         preconditioner=state,
     )
 
@@ -510,11 +410,6 @@ def solve_normal_given_gram(
     The Gram matrix is symmetric PSD, so the two-level path applies verbatim
     and achieves the same guarantee without access to A.
     """
-    psd_cfg = PsdSolveConfig(
-        l=cfg.l, lam=cfg.lam, eps=cfg.eps, delta=cfg.delta, seed=cfg.seed,
-        t_max_override=cfg.t_max_override,
-        inner_iters_override=cfg.inner_iters_override,
-    )
-    report = solve_psd(g, c, psd_cfg, tun=tun)
+    report = solve_psd(g, c, cfg, tun=tun)
     report.method = "msp-general-gram"
     return report

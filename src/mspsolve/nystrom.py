@@ -108,11 +108,37 @@ def _apply_to_columns(a, cols: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64) @ cols
 
 
-def _jitter_ladder(trace_w: float, s: int, tun: Tunables):
+def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
+    """Lower Cholesky factor of W + jitter*I at the first jitter that works.
+
+    The jitter climbs from jitter_initial to jitter_max times tr(W)/s, x10 per
+    rung.  `then(w_j, jitter)` factors whatever must share the rung; its
+    LinAlgError also moves to the next rung.  Returns (factor, w_j, jitter,
+    then's result).  Raises SketchRankCollapse naming `what` when no rung
+    works.  Only the message of a failed attempt is kept: holding the
+    exception would keep its traceback's frames, and their arrays, alive in a
+    reference cycle.
+    """
+    s = w.shape[0]
+    trace_w = float(np.trace(w))
     rel = tun.jitter_initial
+    reason = ""
     while rel <= tun.jitter_max * (1 + 1e-9):
-        yield rel * trace_w / s
+        jitter = rel * trace_w / s
+        w_j = w.copy()
+        w_j[np.diag_indices_from(w_j)] += jitter
+        try:
+            factor = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
+            extra = then(w_j, jitter) if then is not None else None
+        except scipy.linalg.LinAlgError as exc:
+            reason = str(exc)
+        else:
+            return factor, w_j, jitter, extra
         rel *= 10.0
+    raise SketchRankCollapse(
+        f"{what} ({s}x{s}) failed Cholesky at every jitter level up to "
+        f"{tun.jitter_max:.1e}*tr(W)/s: {reason}"
+    )
 
 
 def estimate_lambda0(
@@ -175,19 +201,8 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int, tun: Tunables):
         c_l_handle = MatrixHandle(_apply_to_columns(a, emb.matrix().T.toarray()))
     w_raw = sketch_apply_left(emb, c_l_handle).to_dense()
     w_l = 0.5 * (w_raw + w_raw.T)
-    last_exc: Optional[Exception] = None
-    for jitter in _jitter_ladder(float(np.trace(w_l)), l, tun):
-        w_j = w_l.copy()
-        w_j[np.diag_indices_from(w_j)] += jitter
-        try:
-            chol = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
-        return c_l_handle.to_dense(), (chol[0], chol[1])
-    raise SketchRankCollapse(
-        f"probe W ({l}x{l}) failed Cholesky at every jitter level: {last_exc}"
-    )
+    chol = jittered_cholesky(w_l, tun, "probe W")[0]
+    return c_l_handle.to_dense(), chol
 
 
 def build_nystrom_psd(
@@ -254,47 +269,30 @@ def build_nystrom_psd(
             "lambda + lambda0 must be positive; the matrix appears to be zero"
         )
 
-    trace_w = float(np.trace(w))
-    last_exc: Optional[Exception] = None
-    for jitter in _jitter_ladder(trace_w, s, tun):
-        w_j = w.copy()
-        w_j[np.diag_indices_from(w_j)] += jitter
-        try:
-            w_chol = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
+    phi = make_ose(n, s, delta, tun.ose_epsilon, seed + _SEED_OSE, tun=tun)
+    pc = phi.apply(c)
 
-        phi = make_ose(n, s, delta, tun.ose_epsilon, seed + _SEED_OSE, tun=tun)
-        pc = phi.apply(c)
+    def factor_m2(w_j, jitter):
         m2 = pc.T @ pc + lambda_tilde * w_j
-        try:
-            inner = scipy.linalg.cho_factor(m2, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            last_exc = exc
-            continue
+        return scipy.linalg.cho_factor(m2, lower=True, check_finite=False)
 
-        pre = NystromPreconditioner(
-            C=c_handle,
-            W=MatrixHandle(w, sym="spd"),
-            lambda_tilde=lambda_tilde,
-            lambda0=lambda0,
-            lam=lam,
-            jitter=jitter,
-            inner=inner,
-            w_chol=w_chol,
-            l=l,
-            gamma=gamma,
-            seed=seed,
-            phi_rows=phi.phi,
-        )
-        pre._w_j = w_j
-        return pre
-
-    raise SketchRankCollapse(
-        f"W ({s}x{s}) failed Cholesky at every jitter level up to "
-        f"{tun.jitter_max:.1e}*tr(W)/s: {last_exc}"
+    w_chol, w_j, jitter, inner = jittered_cholesky(w, tun, "W", then=factor_m2)
+    pre = NystromPreconditioner(
+        C=c_handle,
+        W=MatrixHandle(w, sym="spd"),
+        lambda_tilde=lambda_tilde,
+        lambda0=lambda0,
+        lam=lam,
+        jitter=jitter,
+        inner=inner,
+        w_chol=w_chol,
+        l=l,
+        gamma=gamma,
+        seed=seed,
+        phi_rows=phi.phi,
     )
+    pre._w_j = w_j
+    return pre
 
 
 def apply_minv_via_formula(

@@ -11,6 +11,8 @@ warmup run supplies Ritz values, whose spread (inflated x2) estimates the
 preconditioned condition number; that drives t_max, the inner tolerance
 cascade, and the residual target that certifies the energy-norm error
 contract.  Trivially easy systems simply converge during the warmup.
+`two_phase_lanczos` runs that scheme; the normal-equations solver and the
+plain-Lanczos baseline run on it too, each with its own SolveM.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class PsdSolveConfig:
     delta: float = 0.01
     seed: int = 0
     t_max_override: Optional[int] = None
-    inner_iters_override: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -119,20 +120,77 @@ def solve_m1_psd(
     return apply_minv_via_formula(pre, r, inner, eps1)
 
 
-def _trivial_report(method, x, status, reason, cfg, wall_ms, **diag) -> SolveReport:
-    return SolveReport(
-        x=x,
-        status=status,
-        method=method,
-        iterations={"level1": 0, "warmup": 0, "level2_total": 0},
-        matvecs=0,
-        residual_history=[],
-        kappa_m_estimate=None,
-        wall_ms=wall_ms,
-        config_echo=vars(cfg).copy(),
-        stop_reason=reason,
-        diagnostics=dict(diag),
+def energy_certificate(eps: float, lt: float, lam_max_b: float, tun: Tunables):
+    """Main-run residual target that certifies relative energy error eps.
+
+    lam_min(B) is estimated from the warmup's smallest Ritz value of M^{-1}B
+    as theta_min*lt/ritz_inflation (M >= lt*I; the inflation covers the Ritz
+    value's overestimate).  With lam_max_b an upper estimate of lam_max(B), a
+    relative residual of eps/sqrt(kappa_b) bounds the relative energy-norm
+    error by eps.  Returns theta -> (residual target, diagnostics).
+    """
+
+    def target(theta):
+        theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
+        lam_min_b = theta_min * lt / tun.ritz_inflation
+        kappa_b = max(lam_max_b / max(lam_min_b, 1e-300), 1.0)
+        residual_target = max(eps / math.sqrt(kappa_b), 1e-15)
+        return residual_target, {"kappa_b_estimate": kappa_b, "residual_target": residual_target}
+
+    return target
+
+
+def two_phase_lanczos(
+    b_op,
+    b: np.ndarray,
+    solve_m_for: Callable[[float], tuple],
+    kappa0: float,
+    warmup_target: float,
+    main_target: Callable[[np.ndarray], tuple],
+    eps: float,
+    *,
+    t_max_override: Optional[int] = None,
+    trace: Optional[Callable[[dict], None]] = None,
+    tun: Tunables = DEFAULT,
+) -> tuple:
+    """Warmup, Ritz estimate, budgeted main run: the scheme every solver shares.
+
+    A short warmup with per-iteration checks runs with the SolveM that
+    solve_m_for(kappa0) returns; easy systems converge right there.
+    Otherwise its Ritz values give kappa (inflated, kappa0 if they give none),
+    which sizes t_max and the main run's SolveM, and main_target(theta) gives
+    the main run's residual target.  solve_m_for(kappa) returns the SolveM
+    callable and its budget diagnostics; main_target returns the target and
+    its diagnostics.
+
+    Returns (x, warmup workspace, main workspace or None if the warmup ended
+    the solve, kappa, diagnostics of the main run's budgets).  kappa is the
+    value the main run was sized with, or the raw Ritz estimate (possibly
+    None) when there was no main run.
+    """
+    solve_m, _ = solve_m_for(kappa0)
+    x, warm = preconditioned_lanczos(
+        b_op, b, solve_m,
+        t_max=tun.warmup_iters, residual_target=warmup_target, check_every=1, tun=tun,
     )
+    kappa = _ritz_kappa(warm, tun)
+    if warm.status in ("converged", "breakdown"):
+        return x, warm, None, kappa, {}
+
+    if kappa is None:
+        kappa = kappa0
+    residual_target, target_diag = main_target(ritz_values(warm.tridiag))
+    t_max = t_max_override or int(
+        math.ceil(tun.t_factor * math.sqrt(kappa) * math.log(max(kappa / eps, math.e)))
+    )
+    t_max = min(max(t_max, tun.warmup_iters), 2 * b.shape[0])
+    solve_m, budget_diag = solve_m_for(kappa)
+    x, main = preconditioned_lanczos(
+        b_op, b, solve_m,
+        t_max=t_max, residual_target=residual_target, check_every=tun.check_every,
+        trace=trace, tun=tun,
+    )
+    return x, warm, main, kappa, {"t_max": t_max, **budget_diag, **target_diag}
 
 
 def solve_psd(
@@ -141,7 +199,6 @@ def solve_psd(
     cfg: PsdSolveConfig,
     *,
     tun: Tunables = DEFAULT,
-    exact_tail_sum: Optional[float] = None,
     trace: Optional[Callable[[dict], None]] = None,
     pre: Optional[NystromPreconditioner] = None,
 ) -> SolveReport:
@@ -166,128 +223,73 @@ def solve_psd(
         return ax + lam * x if lam != 0.0 else ax
 
     if float(np.linalg.norm(b)) == 0.0:
-        return _trivial_report(
-            "msp-psd", np.zeros(n), "converged", "zero-rhs", cfg,
-            (time.perf_counter() - t_start) * 1e3,
+        return SolveReport(
+            x=np.zeros(n), status="converged", method="msp-psd",
+            iterations={"level1": 0, "warmup": 0, "level2_total": 0},
+            matvecs=0, residual_history=[], kappa_m_estimate=None,
+            wall_ms=(time.perf_counter() - t_start) * 1e3,
+            config_echo=vars(cfg).copy(), stop_reason="zero-rhs",
         )
 
     l_eff, l_clamped = clamp_rank(cfg.l, n)
     if pre is None:
         pre = build_nystrom_psd(
-            a, l_eff, lam, cfg.delta, cfg.seed,
-            n=n, probes=tun.lambda0_probes, exact_tail_sum=exact_tail_sum, tun=tun,
+            a, l_eff, lam, cfg.delta, cfg.seed, n=n, probes=tun.lambda0_probes, tun=tun,
         )
     lt = pre.lambda_tilde
 
     pm_a = power_method_norm(a_op, n, iters=tun.power_iters, seed=cfg.seed + 3)
-    matvecs_setup = tun.lambda0_probes + tun.power_iters
     kappa_mat = (pm_a + lt) / lt  # upper estimate of cond(M): A_nys <= A
-
     counters: dict = {"level2_total": 0, "level2_runs": 0}
-    eps0_warm = max(tun.eps_floor, cfg.eps / (kappa_mat * n))
-    eps1_warm = max(tun.eps_floor, eps0_warm / kappa_mat**1.5)
-    inner_budget = cfg.inner_iters_override or int(
-        math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1_warm, math.e)))
+
+    def solve_m_for(kappa):
+        eps0 = max(tun.eps_floor, cfg.eps / (kappa * n))
+        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
+        inner_budget = int(
+            math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e)))
+        )
+
+        def solve_m(r):
+            return solve_m1_psd(pre, r, inner_budget, eps1, counters, tun)
+
+        return solve_m, {"eps0": eps0, "eps1": eps1, "inner_budget": inner_budget}
+
+    x, warm, main, kappa_m, budget_diag = two_phase_lanczos(
+        b_op, b, solve_m_for, kappa_mat,
+        cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
+        energy_certificate(cfg.eps, lt, 1.5 * pm_a + lam, tun),
+        cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
     )
-
-    def solve_m(r, _tol=eps1_warm):
-        return solve_m1_psd(pre, r, inner_budget, _tol, counters, tun)
-
-    # Warmup: short run with per-iteration checks.  Easy systems converge
-    # right here; otherwise its Ritz values calibrate the real run.
-    kappa_b0 = max(kappa_mat**2, 4.0)
-    target0 = cfg.eps / math.sqrt(kappa_b0)
-    x, ws = preconditioned_lanczos(
-        b_op, b, solve_m,
-        t_max=tun.warmup_iters, residual_target=target0, check_every=1, tun=tun,
-    )
-    warmup_iters = ws.iterations
-    warmup_history = [[i, r] for i, r in ws.checkpoints]
-    matvecs = matvecs_setup + ws.n_matvec
-    kappa_m = _ritz_kappa(ws, tun)
-
+    last = main or warm
+    pre.kappa_hat = kappa_m
     diagnostics = {
         "l_effective": l_eff,
         "l_clamped": l_clamped,
         "kappa_mat_estimate": kappa_mat,
-        "warmup_status": ws.status,
-        "warmup_history": warmup_history,
+        "warmup_status": warm.status,
+        "warmup_history": [[i, r] for i, r in warm.checkpoints],
         "preconditioner": pre.diagnostics(),
         "matvec_note": "matvecs counts every A application including setup probes",
+        **budget_diag,
     }
-    level1 = warmup_iters
-    main_ws = ws
-    residual_history = warmup_history
-    stop_reason = ws.stop_reason
-    status = ws.status
-
-    if ws.status not in ("converged", "breakdown"):
-        if kappa_m is None:
-            kappa_m = kappa_mat
-        theta = ritz_values(ws.tridiag)
-        theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
-        lam_min_b = theta_min * lt / tun.ritz_inflation
-        lam_max_b = 1.5 * pm_a + lam
-        kappa_b = max(lam_max_b / max(lam_min_b, 1e-300), 1.0)
-        residual_target = max(cfg.eps / math.sqrt(kappa_b), 1e-15)
-
-        t_max = cfg.t_max_override or int(
-            math.ceil(tun.t_factor * math.sqrt(kappa_m)
-                      * math.log(max(kappa_m / cfg.eps, math.e)))
-        )
-        t_max = min(max(t_max, tun.warmup_iters), 2 * n)
-
-        eps0 = max(tun.eps_floor, cfg.eps / (kappa_m * n))
-        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
-        inner_budget = cfg.inner_iters_override or int(
-            math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e)))
-        )
-
-        def solve_m_main(r, _tol=eps1):
-            return solve_m1_psd(pre, r, inner_budget, _tol, counters, tun)
-
-        x, main_ws = preconditioned_lanczos(
-            b_op, b, solve_m_main,
-            t_max=t_max,
-            residual_target=residual_target,
-            check_every=tun.check_every,
-            trace=trace,
-            tun=tun,
-        )
-        matvecs += main_ws.n_matvec
-        level1 = main_ws.iterations
-        residual_history = [[i, r] for i, r in main_ws.checkpoints]
-        status = main_ws.status
-        stop_reason = main_ws.stop_reason
-        diagnostics.update(
-            {
-                "t_max": t_max,
-                "eps0": eps0,
-                "eps1": eps1,
-                "inner_budget": inner_budget,
-                "kappa_b_estimate": kappa_b,
-                "residual_target": residual_target,
-            }
-        )
-
-    pre.kappa_hat = kappa_m
     return SolveReport(
         x=x,
-        status=status,
+        status=last.status,
         method="msp-psd",
         iterations={
-            "level1": level1,
-            "warmup": warmup_iters,
+            "level1": last.iterations,
+            "warmup": warm.iterations,
             "level2_total": counters["level2_total"],
             "level2_runs": counters["level2_runs"],
         },
-        matvecs=matvecs,
-        residual_history=residual_history,
+        matvecs=tun.lambda0_probes + tun.power_iters + warm.n_matvec
+        + (main.n_matvec if main else 0),
+        residual_history=[[i, r] for i, r in last.checkpoints],
         kappa_m_estimate=kappa_m,
         wall_ms=(time.perf_counter() - t_start) * 1e3,
         config_echo=vars(cfg).copy(),
-        stop_reason=stop_reason,
+        stop_reason=last.stop_reason,
         diagnostics=diagnostics,
-        workspace=main_ws,
+        workspace=last,
         preconditioner=pre,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mspsolve.config import DEFAULT
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.general import (
@@ -64,6 +65,22 @@ def test_zero_rhs_short_circuits():
 def test_zero_matrix_rejected():
     with pytest.raises(DomainError):
         build_general(np.zeros((40, 30)), GeneralSolveConfig(l=6))
+
+
+@pytest.mark.parametrize("override, t_max", [(2, DEFAULT.warmup_iters), (13, 13)])
+def test_t_max_override_caps_the_main_run(override, t_max):
+    # A decaying spectrum with no flat tail at a tight eps needs far more than
+    # t_max iterations.  Overrides below the warmup length are raised to it.
+    n = 128
+    a = svd_matrix(200, n, np.geomspace(1e3, 1.0, n), seed=12)
+    c = a.T @ np.random.default_rng(13).standard_normal(200)
+    rep = solve_normal(
+        a, c, GeneralSolveConfig(l=8, lam=0.0, eps=1e-10, seed=13, t_max_override=override)
+    )
+    assert rep.status == "budget-exhausted"
+    assert rep.iterations["level1"] == t_max
+    assert rep.diagnostics["t_max"] == t_max
+    assert np.all(np.isfinite(rep.x))
 
 
 # -- the main contract ---------------------------------------------------------------

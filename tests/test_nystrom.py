@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from mspsolve.apps import solve_krr
 from mspsolve.config import DEFAULT
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import (
@@ -11,6 +14,7 @@ from mspsolve.errors import (
     SizeGuardError,
     SketchRankCollapse,
 )
+from mspsolve.instances import InstanceSpec, gen_instance
 from mspsolve.nystrom import (
     NystromPreconditioner,
     apply_minv_via_formula,
@@ -253,6 +257,24 @@ def test_zero_matrix_reports_rank_collapse():
     # level can repair the factorization.
     with pytest.raises(SketchRankCollapse):
         build_nystrom_psd(np.zeros((64, 64)), l=8, lam=1.0, delta=0.01, seed=0)
+
+
+def test_failed_jitter_rungs_leave_no_exception_alive():
+    # A kept LinAlgError's traceback holds the ladder's frame, and with it
+    # every s x s array there, in a reference cycle only the cyclic collector
+    # frees.  This instance climbs the ladder.
+    k, y, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
+    gc.collect()
+    gc.disable()
+    try:
+        rep = solve_krr(k, y, 1e-2, 1e-6)
+        alive = [o for o in gc.get_objects() if isinstance(o, np.linalg.LinAlgError)]
+    finally:
+        gc.enable()
+    pre = rep.preconditioner
+    first_rung = DEFAULT.jitter_initial * np.trace(pre.W.to_dense()) / pre.s
+    assert pre.jitter > 1.5 * first_rung
+    assert alive == []
 
 
 def test_exact_reference_size_guard():

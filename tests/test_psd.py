@@ -113,9 +113,13 @@ def test_preconditioner_reuse_across_right_hand_sides():
     cfg = PsdSolveConfig(l=16, lam=0.2, eps=1e-8, seed=11)
     rep1 = solve_psd(a, rng.standard_normal(n), cfg)
     assert rep1.converged
+    assert rep1.diagnostics["preconditioner"]["kappa_hat"] == rep1.kappa_m_estimate
     b2 = rng.standard_normal(n)
     rep2 = solve_psd(a, b2, cfg, pre=rep1.preconditioner)
     assert rep2.converged
+    # the reused preconditioner reports this solve's estimate, not the last one
+    assert rep2.diagnostics["preconditioner"]["kappa_hat"] == rep2.kappa_m_estimate
+    assert rep2.kappa_m_estimate != rep1.kappa_m_estimate
     x_star = np.linalg.solve(a + 0.2 * np.eye(n), b2)
     assert a_norm_rel_err(a, 0.2, rep2.x, x_star) <= 1e-8
     assert rep2.preconditioner is rep1.preconditioner
