@@ -288,7 +288,9 @@ def solve_least_squares(
             status, stop_reason = "converged", "gradient-target"
             break
         inner = solve_normal(a_bar, g, inner_cfg, state=state, tun=tun)
-        level1_total += inner.iterations["level1"] + inner.iterations["warmup"]
+        level1_total += inner.iterations["level1"]
+        if inner.diagnostics.get("warmup_status") not in ("converged", "breakdown"):
+            level1_total += inner.iterations["warmup"]  # else level1 counts the warmup
         z = inner.x
         az = a.matvec(z)
         matvecs += 1

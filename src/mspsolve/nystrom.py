@@ -64,6 +64,7 @@ class NystromPreconditioner:
     seed: int
     phi_rows: int
     kappa_hat: Optional[float] = None
+    pm_a: Optional[float] = None  # cached ||A|| estimate
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
     _exact_factor: Optional[tuple] = field(default=None, repr=False)
 

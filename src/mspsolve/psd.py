@@ -2,9 +2,11 @@
 
 Level 1 is preconditioned Lanczos on the original system, with the Nystrom
 preconditioner applied through the inversion formula.  The Gram system that
-the formula needs, (C^T C + lt*W_j) y = C^T r, is itself solved by Lanczos
-(level 2) preconditioned by the prefactored sketch Gram matrix
-M2 = (Phi C)^T (Phi C) + lt*W_j — a direct s x s solve per inner iteration.
+the formula needs, (C^T C + lt*W_j) y = C^T r, is level 2.  The build
+prefactors the sketch Gram matrix M2 = (Phi C)^T (Phi C) + lt*W_j.  When the
+subspace embedding Phi is the identity, M2 is the level-2 matrix itself, so
+level 2 is one direct s x s solve through that factor.  Otherwise level 2 is
+Lanczos preconditioned by M2, one direct s x s solve per inner iteration.
 
 Iteration budgets and inner tolerances are derived at run time: a short
 warmup run supplies Ritz values, whose spread (inflated x2) estimates the
@@ -35,7 +37,12 @@ from .report import SolveReport
 
 @dataclass
 class PsdSolveConfig:
-    """Knobs for one PSD solve; eps is the target relative energy-norm error."""
+    """Knobs for one PSD solve; eps is the target relative energy-norm error.
+
+    t_max_override replaces the Ritz-derived iteration budget of the main
+    level-1 run.  Like that budget, it is raised to Tunables.warmup_iters
+    when smaller and capped at 2n.
+    """
 
     l: int
     lam: float = 0.0
@@ -84,11 +91,14 @@ def solve_m1_psd(
     counters: Optional[dict] = None,
     tun: Tunables = DEFAULT,
 ) -> np.ndarray:
-    """Approximate M^{-1} r: level-2 Lanczos on the Gram system, then the formula.
+    """Approximate M^{-1} r: solve the level-2 Gram system, then the formula.
 
-    The level-2 operator is two dense GEMVs (C and W are stored here); its
-    preconditioner is the exact prefactored M2, so the only inner error is the
-    level-2 truncation, driven below eps1.
+    When Phi is the identity, the prefactored M2 is the Gram matrix
+    C^T C + lt*W_j, so level 2 is one direct solve through it, counted as one
+    run of one step.  Otherwise level 2 is Lanczos on the Gram system: its
+    operator is two dense GEMVs (C and W are stored here) and its
+    preconditioner is the exact prefactored M2, so the only inner error is
+    the level-2 truncation, driven below eps1.
     """
     c = pre.C.to_dense()
     w_j = pre.w_jittered()
@@ -103,17 +113,21 @@ def solve_m1_psd(
     def inner(rhs, tol):
         if float(np.linalg.norm(rhs)) == 0.0:
             return np.zeros(pre.s)
-        y, ws = preconditioned_lanczos(
-            g_op,
-            rhs,
-            m2_solve,
-            t_max=inner_budget,
-            residual_target=tol,
-            check_every=tun.check_every,
-            tun=tun,
-        )
+        if pre.phi_rows == pre.n:
+            y, iterations = m2_solve(rhs), 1
+        else:
+            y, ws = preconditioned_lanczos(
+                g_op,
+                rhs,
+                m2_solve,
+                t_max=inner_budget,
+                residual_target=tol,
+                check_every=tun.check_every,
+                tun=tun,
+            )
+            iterations = ws.iterations
         if counters is not None:
-            counters["level2_total"] = counters.get("level2_total", 0) + ws.iterations
+            counters["level2_total"] = counters.get("level2_total", 0) + iterations
             counters["level2_runs"] = counters.get("level2_runs", 0) + 1
         return y
 
@@ -208,7 +222,8 @@ def solve_psd(
     Returns a SolveReport; non-convergence within budget is reported via
     status "budget-exhausted", never as an exception.  Pass a previously
     built `pre` (from an earlier report on the same A, lam, l, seed) to skip
-    the preconditioner build when solving several right-hand sides.
+    the preconditioner build, and the ||A|| estimate cached on it, when
+    solving several right-hand sides.
     """
     t_start = time.perf_counter()
     b = as_vector(b)
@@ -238,7 +253,9 @@ def solve_psd(
         )
     lt = pre.lambda_tilde
 
-    pm_a = power_method_norm(a_op, n, iters=tun.power_iters, seed=cfg.seed + 3)
+    if pre.pm_a is None:
+        pre.pm_a = power_method_norm(a_op, n, iters=tun.power_iters, seed=cfg.seed + 3)
+    pm_a = pre.pm_a
     kappa_mat = (pm_a + lt) / lt  # upper estimate of cond(M): A_nys <= A
     counters: dict = {"level2_total": 0, "level2_runs": 0}
 
@@ -267,6 +284,7 @@ def solve_psd(
         "l_clamped": l_clamped,
         "kappa_mat_estimate": kappa_mat,
         "warmup_status": warm.status,
+        "level2_solver": "cholesky" if pre.phi_rows == pre.n else "lanczos",
         "warmup_history": [[i, r] for i, r in warm.checkpoints],
         "preconditioner": pre.diagnostics(),
         "matvec_note": "matvecs counts every A application including setup probes",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mspsolve.psd
 from mspsolve.apps import (
     KernelSpec,
     RidgeBlackBox,
@@ -252,6 +253,26 @@ def test_least_squares_rhs_orthogonal_to_range():
     assert np.array_equal(rep.x, np.zeros(n))
     resid = b - a @ rep.x
     assert float(resid @ resid) == float(b @ b)
+
+
+def test_least_squares_counts_each_level1_iteration_once(monkeypatch):
+    # Every inner solve ends in its warmup here, where the report's level1
+    # and warmup count the same iterations.
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((400, 32))
+    b = rng.standard_normal(400)
+    ran = []
+    original = mspsolve.psd.preconditioned_lanczos
+
+    def counting(*args, **kwargs):
+        x, ws = original(*args, **kwargs)
+        ran.append(ws.iterations)
+        return x, ws
+
+    monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", counting)
+    rep = solve_least_squares(a, b, eps=1e-6)
+    assert rep.converged
+    assert rep.iterations["level1_total"] == sum(ran) > 0
 
 
 def test_least_squares_validation():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mspsolve.psd
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
+from mspsolve.nystrom import build_nystrom_psd
 from mspsolve.psd import PsdSolveConfig, clamp_rank, solve_m1_psd, solve_psd
 
 import oracles
@@ -165,6 +167,65 @@ def test_solve_m1_matches_dense_inverse_with_generous_budget():
         pre.C.to_dense(), pre.w_jittered(), pre.lambda_tilde, r
     )
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_solve_m1_identity_ose_is_one_direct_solve(monkeypatch):
+    n = 128
+    a = flat_tail_psd(n, 8, 1e3, seed=16)
+    pre = build_nystrom_psd(a, 10, 0.3, 0.01, 17)
+    assert pre.phi_rows == n
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("level 2 ran Lanczos with Phi = I")
+
+    monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", no_lanczos)
+    r = np.random.default_rng(18).standard_normal(n)
+    counters = {}
+    got = solve_m1_psd(pre, r, inner_budget=400, eps1=1e-13, counters=counters)
+    want = oracles.dense_minv_apply(
+        pre.C.to_dense(), pre.w_jittered(), pre.lambda_tilde, r
+    )
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert counters["level2_total"] == counters["level2_runs"] == 1
+
+
+def test_level2_runs_lanczos_when_ose_is_a_real_sketch():
+    # At n = 3000 the clamped l = 13 gives s = 140 and a 2314-row OSE.
+    n = 3000
+    rng = np.random.default_rng(30)
+    vals = np.concatenate([1e3 * rng.uniform(1, 2, 8), rng.uniform(1, 2, n - 8)])
+    b = rng.standard_normal(n)
+    a = MatrixHandle(sp.diags(vals).tocsr(), sym="spd")
+    rep = solve_psd(a, b, PsdSolveConfig(l=12, lam=0.1, seed=31))
+    assert rep.preconditioner.phi_rows < n
+    assert rep.diagnostics["level2_solver"] == "lanczos"
+    assert rep.iterations["level2_total"] > rep.iterations["level2_runs"]
+    assert rep.converged
+    x_star = b / (vals + 0.1)
+    d = rep.x - x_star
+    assert np.sqrt(d @ ((vals + 0.1) * d)) <= 1e-8 * np.sqrt(x_star @ b)
+
+
+def test_reused_preconditioner_caches_the_norm_estimate(monkeypatch):
+    n = 128
+    a = flat_tail_psd(n, 8, 1e3, seed=9)
+    b = np.random.default_rng(10).standard_normal(n)
+    cfg = PsdSolveConfig(l=16, lam=0.2, eps=1e-8, seed=11)
+    fresh = solve_psd(a, b, cfg)
+    assert fresh.diagnostics["level2_solver"] == "cholesky"
+    calls = []
+    original = mspsolve.psd.power_method_norm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.psd, "power_method_norm", counting)
+    again = solve_psd(a, b, cfg, pre=fresh.preconditioner)
+    assert calls == []
+    assert again.x.tobytes() == fresh.x.tobytes()
+    assert again.matvecs == fresh.matvecs
+    assert again.iterations == fresh.iterations
 
 
 def test_inner_iteration_counters_accumulate():
