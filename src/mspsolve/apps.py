@@ -249,15 +249,8 @@ def solve_least_squares(
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must be in (0,1), got {eps}")
 
-    psi = make_ose(m, n, delta, tun.ose_epsilon, seed + 7, tun=tun)
-    a_bar = MatrixHandle(psi.apply(a.raw()))
     l_eff = l if l is not None else max(int(math.ceil(math.log2(max(n, 2)))) + 1, n // 8)
     l_eff, _ = clamp_rank(l_eff, n)
-    inner_cfg = GeneralSolveConfig(
-        l=l_eff, lam=0.0, eps=0.25, delta=delta, seed=seed
-    )
-    state = build_general(a_bar, inner_cfg, tun=tun)
-
     g0 = a.rmatvec(b)
     g0_norm = float(np.linalg.norm(g0))
     if g0_norm == 0.0:
@@ -270,6 +263,13 @@ def solve_least_squares(
             config_echo={"eps": eps, "delta": delta, "seed": seed, "l": l_eff},
             stop_reason="zero-gradient",
         )
+
+    psi = make_ose(m, n, delta, tun.ose_epsilon, seed + 7, tun=tun)
+    a_bar = MatrixHandle(psi.apply(a.raw()))
+    inner_cfg = GeneralSolveConfig(
+        l=l_eff, lam=0.0, eps=0.25, delta=delta, seed=seed
+    )
+    state = build_general(a_bar, inner_cfg, tun=tun)
 
     budget = 8 * int(math.ceil(math.log2(1.0 / eps)))
     x = np.zeros(n)

@@ -1,13 +1,13 @@
 """Three-level solver for (A^T A + lam*I) x = c with general rectangular A.
 
-The Nystrom preconditioner for the Gram matrix A^T A is never materialized:
-with A_tilde = A S^T (m x s) the defining blocks are C = A^T A_tilde and
-W = A_tilde^T A_tilde, and every product with C or C^T C is chained through
-A and A_tilde.  The level hierarchy:
+The Nystrom preconditioner for the Gram matrix A^T A is defined by the
+blocks C = A^T A_tilde (n x s) and W = A_tilde^T A_tilde, with
+A_tilde = A S^T (m x s).  The build forms both once, so levels 2 and 3 make
+no product with A.  The level hierarchy:
 
   level 1  Lanczos on A^T A + lam*I, preconditioned by M via the inversion
            formula (SolveM1);
-  level 2  Lanczos on C^T C + lt*W_j, matrix-free, preconditioned by
+  level 2  Lanczos on C^T C + lt*W_j with C stored, preconditioned by
            M2 = W_j^2 + lt*W_j applied through SolveM2;
   level 3  SolveM2 = two Lanczos solves, W_j u = r and (W_j + lt*I) v = r,
            each preconditioned by a prefactored sketch Gram (A_hat^T A_hat
@@ -34,7 +34,8 @@ from .config import DEFAULT, Tunables, sketch_nnz_per_column, sketch_rows
 from .core import MatrixHandle, as_vector, power_method_norm
 from .errors import DomainError, InconsistentEstimate
 from .lanczos import preconditioned_lanczos
-from .nystrom import _SEED_EST, _SEED_OSE, _SEED_PROBE, jittered_cholesky
+from .nystrom import (_SEED_EST, _SEED_OSE, _SEED_PROBE, apply_minv_via_formula, cho_apply,
+                      jittered_cholesky)
 from .psd import PsdSolveConfig, clamp_rank, energy_certificate, solve_psd, two_phase_lanczos
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
@@ -46,10 +47,15 @@ class GeneralSolveConfig(PsdSolveConfig):
 
 @dataclass(eq=False)
 class GeneralMspState:
-    """Prebuilt sketches and factors for one (A, lam) pair."""
+    """Prebuilt sketches and factors for one (A, lam) pair.
+
+    C = A^T A_tilde is named as in NystromPreconditioner, so the inversion
+    formula applies to either.
+    """
 
     a: MatrixHandle
     a_tilde: MatrixHandle
+    C: MatrixHandle
     a_hat: MatrixHandle
     m3a_factor: tuple
     m3b_factor: tuple
@@ -98,7 +104,11 @@ def _frobenius_sq(a: MatrixHandle) -> float:
 
 
 def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> GeneralMspState:
-    """Sketch A, estimate lambda0, and prefactor the level-3 preconditioners.
+    """Sketch A, form C and W, estimate lambda0, prefactor level 3.
+
+    A_tilde = A S^T, C = A^T A_tilde and W = A_tilde^T A_tilde are block
+    products made once here.  C costs 2*m*n*s flops; with it stored, a
+    level-2 step costs 2*n*s + s^2 flops and no product with A.
 
     lambda0 targets (2/l) * sum_{i>l} sigma_i^2(A) = (2/l) * tr(A^T A - Nys_l),
     probed through a dedicated l-row sketch A_l = A S_l^T.  Each Rademacher
@@ -119,6 +129,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     emb = make_sparse_embedding(s, n, gamma, cfg.seed)
     a_tilde = sketch_apply_right(a, emb)  # m x s dense
     at = a_tilde.to_dense()
+    c_block = a.raw().T @ at
     w = at.T @ at
     w = 0.5 * (w + w.T)
     frob_sq = _frobenius_sq(a)
@@ -173,6 +184,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     return GeneralMspState(
         a=a,
         a_tilde=a_tilde,
+        C=MatrixHandle(c_block),
         a_hat=MatrixHandle(np.asarray(a_hat)),
         m3a_factor=m3a_factor,
         m3b_factor=m3b_factor,
@@ -216,18 +228,12 @@ def solve_m2(
     def w_shift_op(y):
         return w_j @ y + lt * y
 
-    def m3a_solve(rhs):
-        return scipy.linalg.cho_solve(state.m3a_factor, rhs, check_finite=False)
-
-    def m3b_solve(rhs):
-        return scipy.linalg.cho_solve(state.m3b_factor, rhs, check_finite=False)
-
     u, ws_a = preconditioned_lanczos(
-        w_op, r, m3a_solve, t_max=t3, residual_target=eps2,
+        w_op, r, cho_apply(state.m3a_factor), t_max=t3, residual_target=eps2,
         check_every=tun.check_every, tun=tun,
     )
     v, ws_b = preconditioned_lanczos(
-        w_shift_op, r, m3b_solve, t_max=t3, residual_target=eps2,
+        w_shift_op, r, cho_apply(state.m3b_factor), t_max=t3, residual_target=eps2,
         check_every=tun.check_every, tun=tun,
     )
     if counters is not None:
@@ -243,45 +249,38 @@ def solve_m1_general(
     counters: Optional[dict] = None,
     tun: Tunables = DEFAULT,
 ) -> np.ndarray:
-    """Approximate M^{-1} r without ever materializing C = A^T A_tilde.
+    """Approximate M^{-1} r through the inversion formula on the stored C.
 
-    Level-2 system: (C^T C + lt*W_j) y = A_tilde^T (A r), with the operator
-    chained as y -> A_tilde^T(A(A^T(A_tilde y))) + lt*(W_j y); then
-    w = (r - A^T(A_tilde y)) / lt.
+    Level-2 system: (C^T C + lt*W_j) y = C^T r, Lanczos on the operator
+    y -> C^T(C y) + lt*(W_j y) preconditioned by SolveM2; then
+    w = (r - C y) / lt.  No product with A is made.
     """
-    r = as_vector(r, state.n)
-    a = state.a
-    at = state.a_tilde.to_dense()
+    c = state.C.to_dense()
     lt = state.lambda_tilde
     w_j = state.w_j
 
-    rhs = at.T @ a.matvec(r)
-    if counters is not None:
-        counters["A_applies"] = counters.get("A_applies", 0) + 1
-    if float(np.linalg.norm(rhs)) == 0.0:
-        return r / lt
-
     def g_op(y):
-        if counters is not None:
-            counters["A_applies"] = counters.get("A_applies", 0) + 2
-        inner = a.matvec(a.rmatvec(at @ y))
-        return at.T @ inner + lt * (w_j @ y)
+        return c.T @ (c @ y) + lt * (w_j @ y)
 
     def m2_solve(rr):
         return solve_m2(state, rr, budgets, counters, tun)
 
-    y, ws = preconditioned_lanczos(
-        g_op, rhs, m2_solve,
-        t_max=budgets["t2"], residual_target=budgets["eps1"],
-        check_every=tun.check_every, tun=tun,
-    )
-    if counters is not None:
-        counters["level2_total"] = counters.get("level2_total", 0) + ws.iterations
-        counters["level2_runs"] = counters.get("level2_runs", 0) + 1
-        if ws.status == "budget-exhausted":
-            counters["level2_exhausted"] = counters.get("level2_exhausted", 0) + 1
-        counters["A_applies"] = counters.get("A_applies", 0) + 1
-    return (r - a.rmatvec(at @ y)) / lt
+    def inner(rhs, tol):
+        if float(np.linalg.norm(rhs)) == 0.0:
+            return np.zeros(state.s)
+        y, ws = preconditioned_lanczos(
+            g_op, rhs, m2_solve,
+            t_max=budgets["t2"], residual_target=tol,
+            check_every=tun.check_every, tun=tun,
+        )
+        if counters is not None:
+            counters["level2_total"] = counters.get("level2_total", 0) + ws.iterations
+            counters["level2_runs"] = counters.get("level2_runs", 0) + 1
+            if ws.status == "budget-exhausted":
+                counters["level2_exhausted"] = counters.get("level2_exhausted", 0) + 1
+        return y
+
+    return apply_minv_via_formula(state, r, inner, budgets["eps1"])
 
 
 def solve_normal(
@@ -298,27 +297,17 @@ def solve_normal(
     Pass a prebuilt `state` to amortize the sketch factorizations over many
     right-hand sides (the least-squares driver does).  For a square general
     system A x = b, call with c = A^T b and lam = 0.
+
+    The report's `matvecs` counts vector products with A or A^T: two per
+    level-1 step, two per power-method step and one per lambda0 probe.  It
+    does not count the block products A_tilde = A S^T and C = A^T A_tilde
+    made at build time.
     """
     t_start = time.perf_counter()
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))
     c = as_vector(c, a.cols)
     n = a.cols
-
-    if state is None:
-        state = build_general(a, cfg, tun=tun)
-    lt = state.lambda_tilde
-    lam = cfg.lam
-    counters: dict = {
-        "level2_total": 0, "level2_runs": 0,
-        "level3a_total": 0, "level3b_total": 0,
-        "level2_exhausted": 0, "A_applies": 0,
-    }
-
-    def b_op(x):
-        counters["A_applies"] += 2
-        gx = a.rmatvec(a.matvec(x))
-        return gx + lam * x if lam != 0.0 else gx
 
     if float(np.linalg.norm(c)) == 0.0:
         return SolveReport(
@@ -329,6 +318,20 @@ def solve_normal(
             wall_ms=(time.perf_counter() - t_start) * 1e3,
             config_echo=vars(cfg).copy(), stop_reason="zero-rhs",
         )
+
+    if state is None:
+        state = build_general(a, cfg, tun=tun)
+    lt = state.lambda_tilde
+    lam = cfg.lam
+    counters: dict = {
+        "level2_total": 0, "level2_runs": 0,
+        "level3a_total": 0, "level3b_total": 0,
+        "level2_exhausted": 0,
+    }
+
+    def b_op(x):
+        gx = a.rmatvec(a.matvec(x))
+        return gx + lam * x if lam != 0.0 else gx
 
     if state.pm_gram is None:
         def gram_op(x):
@@ -386,7 +389,8 @@ def solve_normal(
             "level3a_total": counters["level3a_total"],
             "level3b_total": counters["level3b_total"],
         },
-        matvecs=counters["A_applies"] + 2 * tun.power_iters + tun.lambda0_probes,
+        matvecs=2 * (warm.n_matvec + (main.n_matvec if main else 0) + tun.power_iters)
+        + tun.lambda0_probes,
         residual_history=[[i, r] for i, r in last.checkpoints],
         kappa_m_estimate=kappa_m,
         wall_ms=(time.perf_counter() - t_start) * 1e3,

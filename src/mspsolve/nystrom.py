@@ -109,6 +109,32 @@ def _apply_to_columns(a, cols: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64) @ cols
 
 
+def cho_apply(factor: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    """rhs -> x solving L L^T x = rhs for a (c, lower) pair from cho_factor.
+
+    Binds LAPACK potrs once for the factor and keeps cho_solve's checks (a
+    square factor, an rhs of matching length, ValueError on info != 0).  x
+    is byte-identical to cho_solve(factor, rhs, check_finite=False), without
+    that wrapper's per-call lookups: about a quarter of its time at s ~ 180,
+    where the level-3 loops make tens of thousands of calls per solve.
+    """
+    c, lower = factor
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("The factored matrix c is not square.")
+    (potrs,) = scipy.linalg.get_lapack_funcs(("potrs",), (c,))
+
+    def apply(rhs):
+        rhs = np.asarray(rhs)
+        if rhs.shape[0] != c.shape[1]:
+            raise ValueError(f"incompatible dimensions ({c.shape} and {rhs.shape})")
+        x, info = potrs(c, rhs, lower=lower, overwrite_b=False)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
+
+    return apply
+
+
 def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
     """Lower Cholesky factor of W + jitter*I at the first jitter that works.
 
@@ -297,16 +323,17 @@ def build_nystrom_psd(
 
 
 def apply_minv_via_formula(
-    pre: NystromPreconditioner,
+    pre,
     r: np.ndarray,
     inner_solve: Callable[[np.ndarray, float], np.ndarray],
     eps1: float,
 ) -> np.ndarray:
     """M^{-1} r through the inversion formula with an inexact inner solve.
 
-    inner_solve(rhs, eps1) must return y_hat approximating the solution of
-    (C^T C + lt*W_j) y = rhs with relative energy-norm error <= eps1; then
-    w_hat = (r - C y_hat) / lt.
+    `pre` is a NystromPreconditioner or a general.GeneralMspState: anything
+    with the stored block C, n and lambda_tilde.  inner_solve(rhs, eps1) must
+    return y_hat approximating the solution of (C^T C + lt*W_j) y = rhs with
+    relative energy-norm error <= eps1; then w_hat = (r - C y_hat) / lt.
     """
     r = as_vector(r, pre.n)
     c = pre.C.to_dense()

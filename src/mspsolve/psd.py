@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tunables
 from .core import MatrixHandle, as_vector, operator_of, power_method_norm
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos, ritz_values
-from .nystrom import NystromPreconditioner, apply_minv_via_formula, build_nystrom_psd
+from .nystrom import NystromPreconditioner, apply_minv_via_formula, build_nystrom_psd, cho_apply
 from .report import SolveReport
 
 
@@ -107,8 +106,7 @@ def solve_m1_psd(
     def g_op(y):
         return c.T @ (c @ y) + lt * (w_j @ y)
 
-    def m2_solve(rhs):
-        return scipy.linalg.cho_solve(pre.inner, rhs, check_finite=False)
+    m2_solve = cho_apply(pre.inner)
 
     def inner(rhs, tol):
         if float(np.linalg.norm(rhs)) == 0.0:

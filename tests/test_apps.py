@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mspsolve.apps
 import mspsolve.psd
 from mspsolve.apps import (
     KernelSpec,
@@ -253,6 +254,19 @@ def test_least_squares_rhs_orthogonal_to_range():
     assert np.array_equal(rep.x, np.zeros(n))
     resid = b - a @ rep.x
     assert float(resid @ resid) == float(b @ b)
+
+
+def test_least_squares_zero_gradient_builds_nothing(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_general called for a zero gradient")
+
+    monkeypatch.setattr(mspsolve.apps, "build_general", no_build)
+    a = np.zeros((40, 10))
+    a[:20] = np.random.default_rng(22).standard_normal((20, 10))
+    b = np.zeros(40)
+    b[20:] = 1.0
+    rep = solve_least_squares(a, b, eps=1e-8, seed=23)
+    assert rep.stop_reason == "zero-gradient"
 
 
 def test_least_squares_counts_each_level1_iteration_once(monkeypatch):

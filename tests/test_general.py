@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import mspsolve.general
 from mspsolve.config import DEFAULT
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
@@ -60,6 +62,15 @@ def test_zero_rhs_short_circuits():
     assert rep.converged
     assert rep.stop_reason == "zero-rhs"
     assert np.array_equal(rep.x, np.zeros(32))
+
+
+def test_zero_rhs_builds_nothing(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_general called for a zero right-hand side")
+
+    monkeypatch.setattr(mspsolve.general, "build_general", no_build)
+    rep = solve_normal(np.eye(32), np.zeros(32), GeneralSolveConfig(l=6))
+    assert rep.stop_reason == "zero-rhs"
 
 
 def test_zero_matrix_rejected():
@@ -170,6 +181,66 @@ def test_solve_m1_matches_dense_preconditioner_inverse():
     got = solve_m1_general(state, r, BIG_BUDGETS)
     want = oracles.dense_minv_apply(c_block, state.w_j, state.lambda_tilde, r)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+class CountingHandle(MatrixHandle):
+    """MatrixHandle that counts its vector products with A and A^T."""
+
+    calls = 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return super().matvec(x)
+
+    def rmatvec(self, x):
+        self.calls += 1
+        return super().rmatvec(x)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_stored_c_is_a_transpose_times_a_tilde(sparse):
+    if sparse:
+        dense = sp.random(150, 90, density=0.2, random_state=47, format="csr").toarray()
+    else:
+        dense = svd_matrix(150, 90, flat_tail_sigmas(90, 6, 30.0, seed=48), seed=49)
+    a = MatrixHandle(sp.csr_matrix(dense) if sparse else dense)
+    assert a.kind == ("csr" if sparse else "dense")
+    state = build_general(a, GeneralSolveConfig(l=10, lam=0.3, seed=50))
+    want = dense.T @ state.a_tilde.to_dense()
+    got = state.C.to_dense()
+    assert got.shape == (90, state.s)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solve_m1_makes_no_product_with_a():
+    m, n = 160, 128
+    dense = svd_matrix(m, n, flat_tail_sigmas(n, 8, 100.0, seed=22), seed=23)
+    a = CountingHandle(dense)
+    state = build_general(a, GeneralSolveConfig(l=10, lam=0.3, seed=24))
+    a.calls = 0
+    r = np.random.default_rng(25).standard_normal(n)
+    got = solve_m1_general(state, r, BIG_BUDGETS)
+    assert a.calls == 0
+    want = oracles.dense_minv_apply(dense.T @ state.a_tilde.to_dense(), state.w_j,
+                                    state.lambda_tilde, r)
+    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_matvecs_counts_only_the_products_with_a_that_run():
+    # On a reused state the build and the power method do not run again, so
+    # the products counted on the handle are level 1's alone: at most one
+    # operator apply and one residual check, two products each, per step.
+    n = 96
+    a = CountingHandle(svd_matrix(120, n, flat_tail_sigmas(n, 6, 100.0, seed=51), seed=52))
+    cfg = GeneralSolveConfig(l=12, lam=0.1, eps=1e-8, seed=53)
+    state = build_general(a, cfg)
+    rng = np.random.default_rng(54)
+    solve_normal(a, rng.standard_normal(n), cfg, state=state)
+    a.calls = 0
+    rep = solve_normal(a, rng.standard_normal(n), cfg, state=state)
+    assert rep.converged
+    assert 0 < a.calls <= 4 * (rep.iterations["level1"] + rep.iterations["warmup"])
+    assert a.calls == rep.matvecs - 2 * DEFAULT.power_iters - DEFAULT.lambda0_probes
 
 
 def test_solve_m1_zero_residual_gives_zero():

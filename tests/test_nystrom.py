@@ -19,6 +19,7 @@ from mspsolve.nystrom import (
     NystromPreconditioner,
     apply_minv_via_formula,
     build_nystrom_psd,
+    cho_apply,
     estimate_lambda0,
     exact_minv_reference,
     tail_probe_factor,
@@ -312,3 +313,18 @@ def test_diagnostics_fragment_is_json_ready():
         "kappa_hat",
     }
     json.dumps(d)
+
+
+def test_cho_apply_is_byte_equal_to_cho_solve():
+    rng = np.random.default_rng(50)
+    g = rng.standard_normal((50, 50))
+    factor = scipy.linalg.cho_factor(g @ g.T + 50 * np.eye(50), lower=True)
+    apply = cho_apply(factor)
+    for _ in range(3):
+        r = rng.standard_normal(50)
+        want = scipy.linalg.cho_solve(factor, r, check_finite=False)
+        assert apply(r).tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        apply(np.ones(49))
+    with pytest.raises(ValueError):
+        cho_apply((np.ones((3, 4)), True))
