@@ -1,9 +1,13 @@
 """Three-level solver for (A^T A + lam*I) x = c with general rectangular A.
 
-The Nystrom preconditioner for the Gram matrix A^T A is defined by the
-blocks C = A^T A_tilde (n x s) and W = A_tilde^T A_tilde, with
-A_tilde = A S^T (m x s).  The build forms both once, so levels 2 and 3 make
-no product with A.  The level hierarchy:
+This is the PSD path (psd.py) applied to B = A^T A.  Its Nystrom
+preconditioner of B is defined by the blocks C = A^T A_tilde (n x s) and
+W = A_tilde^T A_tilde, with A_tilde = A S^T (m x s); GeneralMspState is that
+NystromPreconditioner plus A and the level-3 factors.  lambda0 comes from
+the same Hutchinson estimator, and level 1 is the same driver
+(psd.solve_level1), at two products with A per apply of B.  The build forms
+C and W once, so levels 2 and 3 make no product with A.  Only the way level
+2 is preconditioned differs from the PSD path:
 
   level 1  Lanczos on A^T A + lam*I, preconditioned by M via the inversion
            formula (SolveM1);
@@ -22,8 +26,7 @@ equations c = A^T b; lambda0 > 0 keeps everything invertible even then.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,12 +34,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .config import DEFAULT, Tunables, sketch_nnz_per_column, sketch_rows
-from .core import MatrixHandle, as_vector, power_method_norm
-from .errors import DomainError, InconsistentEstimate
+from .core import MatrixHandle, as_vector
+# power_method_norm is unused here, but tracers rebind it by this name.
+from .core import power_method_norm  # noqa: F401
+from .errors import DomainError
 from .lanczos import preconditioned_lanczos
-from .nystrom import (_SEED_EST, _SEED_OSE, _SEED_PROBE, apply_minv_via_formula, cho_apply,
-                      jittered_cholesky)
-from .psd import PsdSolveConfig, clamp_rank, energy_certificate, solve_psd, two_phase_lanczos
+from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
+                      cho_apply, jittered_cholesky, lambda0_from_probes)
+from .psd import PsdSolveConfig, clamp_rank, solve_level1, solve_psd
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
 
@@ -45,55 +50,25 @@ class GeneralSolveConfig(PsdSolveConfig):
     """Knobs for one normal-equations solve (see PsdSolveConfig)."""
 
 
-@dataclass(eq=False)
-class GeneralMspState:
-    """Prebuilt sketches and factors for one (A, lam) pair.
+@dataclass(eq=False, kw_only=True)
+class GeneralMspState(NystromPreconditioner):
+    """The Nystrom preconditioner of A^T A plus what levels 2 and 3 need.
 
-    C = A^T A_tilde is named as in NystromPreconditioner, so the inversion
-    formula applies to either.
+    C = A^T A_tilde and W = A_tilde^T A_tilde with A_tilde = A S^T.  `inner`
+    is None: level 2 is preconditioned by M2 = W_j^2 + lt*W_j through level 3,
+    whose prefactored sketch Grams are m3a_factor and m3b_factor.
     """
 
     a: MatrixHandle
     a_tilde: MatrixHandle
-    C: MatrixHandle
     a_hat: MatrixHandle
     m3a_factor: tuple
     m3b_factor: tuple
-    w_chol: tuple
-    lambda_tilde: float
-    lambda0: float
-    lam: float
-    jitter: float
-    embedding: object
-    l: int
-    gamma: int
-    seed: int
-    phi_rows: int
-    w_j: np.ndarray = field(repr=False, default=None)
-    pm_gram: Optional[float] = None  # cached ||A^T A|| estimate
 
     @property
-    def m(self) -> int:
-        return self.a.rows
-
-    @property
-    def n(self) -> int:
-        return self.a.cols
-
-    @property
-    def s(self) -> int:
-        return self.a_tilde.cols
-
-    def diagnostics(self) -> dict:
-        return {
-            "s": self.s,
-            "gamma": self.gamma,
-            "l": self.l,
-            "phi_rows": self.phi_rows,
-            "lambda0": self.lambda0,
-            "lambda_tilde": self.lambda_tilde,
-            "jitter": self.jitter,
-        }
+    def w_j(self) -> np.ndarray:
+        """The jittered W (read-only alias of w_jittered())."""
+        return self.w_jittered()
 
 
 def _frobenius_sq(a: MatrixHandle) -> float:
@@ -111,13 +86,12 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     level-2 step costs 2*n*s + s^2 flops and no product with A.
 
     lambda0 targets (2/l) * sum_{i>l} sigma_i^2(A) = (2/l) * tr(A^T A - Nys_l),
-    probed through a dedicated l-row sketch A_l = A S_l^T.  Each Rademacher
-    probe contributes the coupled difference ||A z||^2 - ||L^{-1} A_l^T (A z)||^2
-    (L the Cholesky factor of the jittered A_l^T A_l): both quadratic forms
-    share the same z, so the per-probe variance scales with the tail energy
-    itself rather than with ||A^T A||_F^2, which would drown the tail whenever
-    the spectrum has large outliers.  The exact ||A||_F^2 anchors the floor
-    and the sanity check.
+    probed through a dedicated l-row sketch A_l = A S_l^T with the PSD
+    path's estimator.  A probe z gives (||A z||^2, A_l^T (A z)), one product
+    with A: both quadratic forms share the same z, so the per-probe variance
+    scales with the tail energy itself rather than with ||A^T A||_F^2, which
+    would drown the tail whenever the spectrum has large outliers.  The exact
+    ||A||_F^2 = tr(A^T A) anchors the floor and the sanity check.
     """
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))
@@ -150,23 +124,13 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     w_l = at_l.T @ at_l
     w_l = 0.5 * (w_l + w_l.T)
     l_chol = jittered_cholesky(w_l, tun, "probe Gram")[0]
-    probe_rng = np.random.default_rng([cfg.seed & ((1 << 63) - 1), _SEED_PROBE])
-    tail_terms = np.empty(tun.lambda0_probes)
-    for p in range(tun.lambda0_probes):
-        z = 2.0 * probe_rng.integers(0, 2, size=n) - 1.0
+
+    def probe(z):
         az = a.matvec(z)
-        atz = at_l.T @ az
-        lz = scipy.linalg.solve_triangular(
-            l_chol[0], atz, lower=True, check_finite=False
-        )
-        tail_terms[p] = float(az @ az) - float(lz @ lz)
-    est = float(np.mean(tail_terms))
-    if est < -0.1 * frob_sq:
-        raise InconsistentEstimate(
-            f"tail-energy estimate {est:.6e} negative beyond tolerance "
-            f"(||A||_F^2 = {frob_sq:.6e})"
-        )
-    lambda0 = (2.0 / l_eff) * max(est, 1e-12 * frob_sq)
+        return float(az @ az), at_l.T @ az
+
+    lambda0 = lambda0_from_probes(probe, n, l_chol, l_eff, tun.lambda0_probes, cfg.seed,
+                                  trace=frob_sq)
     lambda_tilde = cfg.lam + lambda0
 
     def factor_m3(w_j, jitter):
@@ -181,25 +145,27 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     w_chol, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
         w, tun, "sketched Gram", then=factor_m3
     )
-    return GeneralMspState(
-        a=a,
-        a_tilde=a_tilde,
+    state = GeneralMspState(
         C=MatrixHandle(c_block),
-        a_hat=MatrixHandle(np.asarray(a_hat)),
-        m3a_factor=m3a_factor,
-        m3b_factor=m3b_factor,
-        w_chol=w_chol,
+        W=MatrixHandle(w, sym="spd"),
         lambda_tilde=lambda_tilde,
         lambda0=lambda0,
         lam=cfg.lam,
         jitter=jitter,
-        embedding=emb,
+        inner=None,
+        w_chol=w_chol,
         l=l_eff,
         gamma=gamma,
         seed=cfg.seed,
         phi_rows=phi.phi,
-        w_j=w_j,
+        a=a,
+        a_tilde=a_tilde,
+        a_hat=MatrixHandle(np.asarray(a_hat)),
+        m3a_factor=m3a_factor,
+        m3b_factor=m3b_factor,
     )
+    state._w_j = w_j
+    return state
 
 
 def solve_m2(
@@ -298,57 +264,25 @@ def solve_normal(
     right-hand sides (the least-squares driver does).  For a square general
     system A x = b, call with c = A^T b and lam = 0.
 
-    The report's `matvecs` counts vector products with A or A^T: two per
-    level-1 step, two per power-method step and one per lambda0 probe.  It
-    does not count the block products A_tilde = A S^T and C = A^T A_tilde
-    made at build time.
+    Level 1 is psd.solve_level1 on B = A^T A; level 2 is solve_m1_general.
+    The report's `matvecs` counts the vector products with A or A^T that
+    this call made: two per level-1 step, two per power-method step when the
+    ||A^T A|| estimate is not yet cached on the state, and one per lambda0
+    probe when this call builds the state.  It does not count the block
+    products A_tilde = A S^T and C = A^T A_tilde made at build time.
     """
-    t_start = time.perf_counter()
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))
     c = as_vector(c, a.cols)
-    n = a.cols
+    counters: dict = {"level2_total": 0, "level2_runs": 0, "level3a_total": 0, "level3b_total": 0}
 
-    if float(np.linalg.norm(c)) == 0.0:
-        return SolveReport(
-            x=np.zeros(n), status="converged", method="msp-general",
-            iterations={"level1": 0, "warmup": 0, "level2_total": 0,
-                        "level3a_total": 0, "level3b_total": 0},
-            matvecs=0, residual_history=[], kappa_m_estimate=None,
-            wall_ms=(time.perf_counter() - t_start) * 1e3,
-            config_echo=vars(cfg).copy(), stop_reason="zero-rhs",
-        )
+    def gram_op(x):
+        return a.rmatvec(a.matvec(x))
 
-    if state is None:
-        state = build_general(a, cfg, tun=tun)
-    lt = state.lambda_tilde
-    lam = cfg.lam
-    counters: dict = {
-        "level2_total": 0, "level2_runs": 0,
-        "level3a_total": 0, "level3b_total": 0,
-        "level2_exhausted": 0,
-    }
-
-    def b_op(x):
-        gx = a.rmatvec(a.matvec(x))
-        return gx + lam * x if lam != 0.0 else gx
-
-    if state.pm_gram is None:
-        def gram_op(x):
-            return a.rmatvec(a.matvec(x))
-
-        state.pm_gram = power_method_norm(gram_op, n, iters=tun.power_iters,
-                                          seed=cfg.seed + 3)
-    pm = state.pm_gram
-    kappa_gram = (pm + lt) / lt
-
-    def solve_m_for(kappa):
-        eps0 = max(tun.eps_floor, cfg.eps / (kappa * n))
-        eps1 = max(tun.eps_floor, eps0 / kappa_gram**1.5)
-        eps2 = max(tun.eps_floor, eps0 / (4.0 * kappa_gram * cfg.l))
+    def level2_for(state, eps0, eps1, t2, kappa_mat):
+        eps2 = max(tun.eps_floor, eps0 / (4.0 * kappa_mat * cfg.l))
         budgets = {
-            "t2": int(math.ceil(tun.inner_budget_factor
-                                * math.log(max(kappa_gram / eps1, math.e)))),
+            "t2": t2,
             "t3": int(math.ceil(tun.inner_budget_factor
                                 * math.log(max(9.0 * cfg.l / eps2, math.e)))),
             "eps1": eps1, "eps2": eps2, "eps0": eps0,
@@ -359,46 +293,13 @@ def solve_normal(
 
         return solve_m, budgets
 
-    x, warm, main, kappa_m, budget_diag = two_phase_lanczos(
-        b_op, c, solve_m_for, kappa_gram,
-        cfg.eps / math.sqrt(max(kappa_gram**2, 4.0)),
-        energy_certificate(cfg.eps, lt, 1.5 * pm + lam, tun),
-        cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
-    )
-    last = main or warm
-    diagnostics = {
-        "l_effective": state.l,
-        "l_clamped": state.l != cfg.l,
-        "kappa_gram_estimate": kappa_gram,
-        "warmup_status": warm.status,
-        "warmup_history": [[i, r] for i, r in warm.checkpoints],
-        "preconditioner": state.diagnostics(),
-        **budget_diag,
-    }
-    if counters["level2_exhausted"]:
-        diagnostics["inner_budget_exhausted"] = counters["level2_exhausted"]
+    def path_diagnostics(state):
+        exhausted = counters.get("level2_exhausted", 0)
+        return {"inner_budget_exhausted": exhausted} if exhausted else {}
 
-    return SolveReport(
-        x=x,
-        status=last.status,
-        method="msp-general",
-        iterations={
-            "level1": last.iterations,
-            "warmup": warm.iterations,
-            "level2_total": counters["level2_total"],
-            "level3a_total": counters["level3a_total"],
-            "level3b_total": counters["level3b_total"],
-        },
-        matvecs=2 * (warm.n_matvec + (main.n_matvec if main else 0) + tun.power_iters)
-        + tun.lambda0_probes,
-        residual_history=[[i, r] for i, r in last.checkpoints],
-        kappa_m_estimate=kappa_m,
-        wall_ms=(time.perf_counter() - t_start) * 1e3,
-        config_echo=vars(cfg).copy(),
-        stop_reason=last.stop_reason,
-        diagnostics=diagnostics,
-        workspace=last,
-        preconditioner=state,
+    return solve_level1(
+        "msp-general", gram_op, c, cfg, state, lambda: build_general(a, cfg, tun=tun),
+        level2_for, counters, path_diagnostics, products=2, trace=trace, tun=tun,
     )
 
 

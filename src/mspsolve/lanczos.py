@@ -139,15 +139,12 @@ class LanczosWorkspace:
     """
 
     q_over: np.ndarray
-    q_under_prev: Optional[np.ndarray]
-    q_under_cur: Optional[np.ndarray]
     z_prime: float
     tridiag: Optional[TridiagonalMatrix]
     status: str
     stop_reason: str
     iterations: int
     n_matvec: int
-    n_solve_m: int
     checkpoints: List[Tuple[int, float]] = field(default_factory=list)
 
     def iterate(self, i: int) -> np.ndarray:
@@ -214,25 +211,20 @@ def preconditioned_lanczos(
         raise DomainError("right-hand side is zero")
 
     n_matvec = 0
-    n_solve = 0
 
     w_bar0 = as_vector(solve(b), n)
-    n_solve += 1
     ip0 = float(b @ w_bar0)
     tol0 = tun.breakdown_rtol * b_norm * float(np.linalg.norm(w_bar0))
     if ip0 <= tol0:
         status = "breakdown"
         ws = LanczosWorkspace(
             q_over=np.zeros((n, 0)),
-            q_under_prev=None,
-            q_under_cur=None,
             z_prime=0.0,
             tridiag=None,
             status=status,
             stop_reason="degenerate-start",
             iterations=0,
             n_matvec=n_matvec,
-            n_solve_m=n_solve,
         )
         return np.zeros(n), ws
 
@@ -262,7 +254,6 @@ def preconditioned_lanczos(
         alphas.append(alpha)
         w = u - alpha * q_under
         w_bar = solve(w)
-        n_solve += 1
         ip = float(w @ w_bar)
         w_norm = float(np.linalg.norm(w))
         tol_i = tun.breakdown_rtol * w_norm * float(np.linalg.norm(w_bar))
@@ -325,15 +316,12 @@ def preconditioned_lanczos(
     )
     ws = LanczosWorkspace(
         q_over=np.column_stack(q_over_cols) if q_over_cols else np.zeros((n, 0)),
-        q_under_prev=q_under_prev,
-        q_under_cur=q_under,
         z_prime=z_prime,
         tridiag=tri,
         status=status,
         stop_reason=stop_reason,
         iterations=t,
         n_matvec=n_matvec,
-        n_solve_m=n_solve,
         checkpoints=checkpoints,
     )
     return x, ws

@@ -49,6 +49,8 @@ class NystromPreconditioner:
     `jitter` is the absolute diagonal shift applied to W everywhere it is
     used.  `inner` holds the Cholesky factor of M2 = (Phi C)^T (Phi C) + lt*W_j,
     the direct preconditioner for the level-2 system (C^T C + lt*W_j) y = C^T r.
+    The normal-equations path builds the same object for A^T A
+    (general.GeneralMspState), where `inner` is None.
     """
 
     C: MatrixHandle
@@ -57,14 +59,14 @@ class NystromPreconditioner:
     lambda0: float
     lam: float
     jitter: float
-    inner: tuple
+    inner: Optional[tuple]
     w_chol: tuple
     l: int
     gamma: int
     seed: int
     phi_rows: int
     kappa_hat: Optional[float] = None
-    pm_a: Optional[float] = None  # cached ||A|| estimate
+    pm_norm: Optional[float] = None  # cached ||B|| estimate, B = A or A^T A
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
     _exact_factor: Optional[tuple] = field(default=None, repr=False)
 
@@ -168,6 +170,40 @@ def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
     )
 
 
+def lambda0_from_probes(probe, n: int, w_factor, l: int, probes: int, seed: int,
+                        trace: Optional[float] = None) -> float:
+    """(2/l) * (Hutchinson estimate of tr(B - B_nys)) from Rademacher probes.
+
+    probe(z) returns (z^T B z, C_l^T z) for the l-row sketch block C_l; each
+    probe contributes z^T B z - ||L^{-1} C_l^T z||^2, L the Cholesky factor of
+    the (jittered) W_l.  tr(B) anchors the floor 1e-12*tr(B), which keeps
+    lambda0 nonnegative, and the sanity check: a tail estimate below
+    -0.1*tr(B) means the factor is broken.  `trace` is the exact tr(B) when
+    known, else the probes' mean of z^T B z.
+    """
+    if probes < 1:
+        raise DomainError(f"need at least one probe, got {probes}")
+    rng = np.random.default_rng([seed & ((1 << 63) - 1), _SEED_PROBE])
+    tail_terms = np.empty(probes)
+    trace_terms = np.empty(probes)
+    for p in range(probes):
+        z = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        zbz, ctz = probe(z)
+        lz = scipy.linalg.solve_triangular(
+            w_factor[0], ctz, lower=w_factor[1], check_finite=False
+        )
+        trace_terms[p] = zbz
+        tail_terms[p] = zbz - float(lz @ lz)
+    trace_hat = float(np.mean(trace_terms)) if trace is None else trace
+    est = float(np.mean(tail_terms))
+    if est < -0.1 * trace_hat:
+        raise InconsistentEstimate(
+            f"tail-trace estimate {est:.6e} is negative beyond tolerance "
+            f"(trace {trace_hat:.6e}); W factor is inconsistent"
+        )
+    return (2.0 / l) * max(est, 1e-12 * trace_hat)
+
+
 def estimate_lambda0(
     a,
     c: Union[MatrixHandle, np.ndarray],
@@ -179,38 +215,16 @@ def estimate_lambda0(
     """Estimate lambda0 = (2/l) * sum_{i>l} lambda_i(A) stochastically.
 
     The tail sum equals tr(A - A_nys) when the sketch captures the top-l
-    range, so it is estimated by Hutchinson probing with Rademacher vectors:
-    z^T A z - ||L^{-1} C^T z||^2 per probe, L the Cholesky factor of the
-    (jittered) W.  The estimate is floored at 1e-12 * tr(A) so lambda0 stays
-    nonnegative; a markedly negative estimate means the factor is broken.
+    range, so it is estimated by Hutchinson probing (lambda0_from_probes)
+    with z -> (z^T A z, C^T z), the trace anchored by the probes' mean.
     """
-    if probes < 1:
-        raise DomainError(f"need at least one probe, got {probes}")
     a_apply = operator_of(a)
     c_mat = c.to_dense() if isinstance(c, MatrixHandle) else np.asarray(c)
-    n = c_mat.shape[0]
-    rng = np.random.default_rng([seed & ((1 << 63) - 1), _SEED_PROBE])
-    tail_terms = np.empty(probes)
-    trace_terms = np.empty(probes)
-    for p in range(probes):
-        z = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        az = a_apply(z)
-        zaz = float(z @ az)
-        ctz = c_mat.T @ z
-        lz = scipy.linalg.solve_triangular(
-            w_factor[0], ctz, lower=w_factor[1], check_finite=False
-        )
-        trace_terms[p] = zaz
-        tail_terms[p] = zaz - float(lz @ lz)
-    trace_hat = float(np.mean(trace_terms))
-    est = float(np.mean(tail_terms))
-    if est < -0.1 * trace_hat:
-        raise InconsistentEstimate(
-            f"tail-trace estimate {est:.6e} is negative beyond tolerance "
-            f"(trace estimate {trace_hat:.6e}); W factor is inconsistent"
-        )
-    floor = 1e-12 * trace_hat
-    return (2.0 / l) * max(est, floor)
+
+    def probe(z):
+        return float(z @ a_apply(z)), c_mat.T @ z
+
+    return lambda0_from_probes(probe, c_mat.shape[0], w_factor, l, probes, seed)
 
 
 def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int, tun: Tunables):
@@ -330,8 +344,8 @@ def apply_minv_via_formula(
 ) -> np.ndarray:
     """M^{-1} r through the inversion formula with an inexact inner solve.
 
-    `pre` is a NystromPreconditioner or a general.GeneralMspState: anything
-    with the stored block C, n and lambda_tilde.  inner_solve(rhs, eps1) must
+    `pre` is a NystromPreconditioner (of A, or of A^T A on the
+    normal-equations path).  inner_solve(rhs, eps1) must
     return y_hat approximating the solution of (C^T C + lt*W_j) y = rhs with
     relative energy-norm error <= eps1; then w_hat = (r - C y_hat) / lt.
     """

@@ -13,8 +13,10 @@ warmup run supplies Ritz values, whose spread (inflated x2) estimates the
 preconditioned condition number; that drives t_max, the inner tolerance
 cascade, and the residual target that certifies the energy-norm error
 contract.  Trivially easy systems simply converge during the warmup.
-`two_phase_lanczos` runs that scheme; the normal-equations solver and the
-plain-Lanczos baseline run on it too, each with its own SolveM.
+`two_phase_lanczos` runs that scheme, and the plain-Lanczos baseline runs on
+it too.  `solve_level1` is level 1 around it for any PSD B with a Nystrom
+preconditioner: `solve_psd` runs it on B = A with the level 2 above, and the
+normal-equations solver (general.py) on B = A^T A with its own level 2.
 """
 
 from __future__ import annotations
@@ -132,26 +134,6 @@ def solve_m1_psd(
     return apply_minv_via_formula(pre, r, inner, eps1)
 
 
-def energy_certificate(eps: float, lt: float, lam_max_b: float, tun: Tunables):
-    """Main-run residual target that certifies relative energy error eps.
-
-    lam_min(B) is estimated from the warmup's smallest Ritz value of M^{-1}B
-    as theta_min*lt/ritz_inflation (M >= lt*I; the inflation covers the Ritz
-    value's overestimate).  With lam_max_b an upper estimate of lam_max(B), a
-    relative residual of eps/sqrt(kappa_b) bounds the relative energy-norm
-    error by eps.  Returns theta -> (residual target, diagnostics).
-    """
-
-    def target(theta):
-        theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
-        lam_min_b = theta_min * lt / tun.ritz_inflation
-        kappa_b = max(lam_max_b / max(lam_min_b, 1e-300), 1.0)
-        residual_target = max(eps / math.sqrt(kappa_b), 1e-15)
-        return residual_target, {"kappa_b_estimate": kappa_b, "residual_target": residual_target}
-
-    return target
-
-
 def two_phase_lanczos(
     b_op,
     b: np.ndarray,
@@ -205,6 +187,108 @@ def two_phase_lanczos(
     return x, warm, main, kappa, {"t_max": t_max, **budget_diag, **target_diag}
 
 
+def solve_level1(
+    method: str,
+    op,
+    b: np.ndarray,
+    cfg: PsdSolveConfig,
+    pre: Optional[NystromPreconditioner],
+    build: Callable[[], NystromPreconditioner],
+    level2_for: Callable,
+    counters: dict,
+    path_diagnostics: Callable[[NystromPreconditioner], dict],
+    *,
+    products: int,
+    trace: Optional[Callable[[dict], None]],
+    tun: Tunables,
+) -> SolveReport:
+    """Level 1 of both msp paths: Lanczos on B + lam*I preconditioned by `pre`.
+
+    op applies B, the PSD matrix `pre` approximates: A on the PSD path, A^T A
+    on the normal-equations path, at `products` products with A per apply.
+    `pre` is build() unless given, and ||B|| comes from the power method
+    unless cached on `pre`.  They give the inner targets eps0, eps1 and the
+    level-2 budget; level2_for(pre, eps0, eps1, budget, kappa_mat) returns
+    the SolveM for them and its budget diagnostics.  The SolveM adds its
+    inner iteration counts to `counters`, whose keys (all zero on entry)
+    join level1 and warmup in the report's iterations; path_diagnostics(pre)
+    adds the path's own diagnostics.  matvecs counts the products with A
+    this call made: level 1's, the power method's when it ran, and one per
+    lambda0 probe when this call built `pre`.
+    """
+    t_start = time.perf_counter()
+    n = b.shape[0]
+    lam = cfg.lam
+    iteration_keys = tuple(counters)
+
+    def b_op(x):
+        bx = op(x)
+        return bx + lam * x if lam != 0.0 else bx
+
+    def report(iterations, **fields):
+        return SolveReport(
+            method=method, iterations={**iterations, **{k: counters[k] for k in iteration_keys}},
+            wall_ms=(time.perf_counter() - t_start) * 1e3, config_echo=vars(cfg).copy(), **fields,
+        )
+
+    if float(np.linalg.norm(b)) == 0.0:
+        return report({"level1": 0, "warmup": 0}, x=np.zeros(n), status="converged", matvecs=0,
+                      residual_history=[], kappa_m_estimate=None, stop_reason="zero-rhs")
+
+    built = pre is None
+    if built:
+        pre = build()
+    power_ran = pre.pm_norm is None
+    if power_ran:
+        pre.pm_norm = power_method_norm(op, n, iters=tun.power_iters, seed=cfg.seed + 3)
+    pm, lt = pre.pm_norm, pre.lambda_tilde
+    kappa_mat = (pm + lt) / lt  # upper estimate of cond(M): B_nys <= B
+
+    def solve_m_for(kappa):
+        eps0 = max(tun.eps_floor, cfg.eps / (kappa * n))
+        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
+        budget = int(math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e))))
+        return level2_for(pre, eps0, eps1, budget, kappa_mat)
+
+    def main_target(theta):
+        # lam_min(B + lam) ~ theta_min*lt/ritz_inflation from the warmup's
+        # smallest Ritz value of M^{-1}(B + lam) (M >= lt*I; the inflation
+        # covers its overestimate).  Against 1.5*||B|| + lam >= lam_max, a
+        # relative residual of eps/sqrt(kappa_b) certifies energy error eps.
+        theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
+        kappa_b = max((1.5 * pm + lam) / max(theta_min * lt / tun.ritz_inflation, 1e-300), 1.0)
+        target = max(cfg.eps / math.sqrt(kappa_b), 1e-15)
+        return target, {"kappa_b_estimate": kappa_b, "residual_target": target}
+
+    x, warm, main, kappa_m, budget_diag = two_phase_lanczos(
+        b_op, b, solve_m_for, kappa_mat, cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
+        main_target, cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
+    )
+    last = main or warm
+    pre.kappa_hat = kappa_m
+    applies = warm.n_matvec + (main.n_matvec if main else 0)
+    return report(
+        {"level1": last.iterations, "warmup": warm.iterations},
+        x=x, status=last.status, stop_reason=last.stop_reason,
+        matvecs=products * (applies + (tun.power_iters if power_ran else 0))
+        + (tun.lambda0_probes if built else 0),
+        residual_history=[[i, r] for i, r in last.checkpoints],
+        kappa_m_estimate=kappa_m,
+        diagnostics={
+            "l_effective": pre.l,
+            "l_clamped": pre.l != cfg.l,
+            "kappa_mat_estimate": kappa_mat,
+            "warmup_status": warm.status,
+            "warmup_history": [[i, r] for i, r in warm.checkpoints],
+            "preconditioner": pre.diagnostics(),
+            **budget_diag,
+            **path_diagnostics(pre),
+        },
+        workspace=last,
+        preconditioner=pre,
+    )
+
+
 def solve_psd(
     a,
     b: np.ndarray,
@@ -223,89 +307,33 @@ def solve_psd(
     the preconditioner build, and the ||A|| estimate cached on it, when
     solving several right-hand sides.
     """
-    t_start = time.perf_counter()
     b = as_vector(b)
     n = b.shape[0]
     if isinstance(a, np.ndarray):
         a = MatrixHandle(a, sym="spd")
-    a_op = operator_of(a)
-    lam = cfg.lam
-
-    def b_op(x):
-        ax = a_op(x)
-        return ax + lam * x if lam != 0.0 else ax
-
-    if float(np.linalg.norm(b)) == 0.0:
-        return SolveReport(
-            x=np.zeros(n), status="converged", method="msp-psd",
-            iterations={"level1": 0, "warmup": 0, "level2_total": 0},
-            matvecs=0, residual_history=[], kappa_m_estimate=None,
-            wall_ms=(time.perf_counter() - t_start) * 1e3,
-            config_echo=vars(cfg).copy(), stop_reason="zero-rhs",
-        )
-
-    l_eff, l_clamped = clamp_rank(cfg.l, n)
-    if pre is None:
-        pre = build_nystrom_psd(
-            a, l_eff, lam, cfg.delta, cfg.seed, n=n, probes=tun.lambda0_probes, tun=tun,
-        )
-    lt = pre.lambda_tilde
-
-    if pre.pm_a is None:
-        pre.pm_a = power_method_norm(a_op, n, iters=tun.power_iters, seed=cfg.seed + 3)
-    pm_a = pre.pm_a
-    kappa_mat = (pm_a + lt) / lt  # upper estimate of cond(M): A_nys <= A
     counters: dict = {"level2_total": 0, "level2_runs": 0}
 
-    def solve_m_for(kappa):
-        eps0 = max(tun.eps_floor, cfg.eps / (kappa * n))
-        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
-        inner_budget = int(
-            math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e)))
+    def build():
+        l_eff = clamp_rank(cfg.l, n)[0]
+        return build_nystrom_psd(
+            a, l_eff, cfg.lam, cfg.delta, cfg.seed, n=n, probes=tun.lambda0_probes, tun=tun,
         )
 
+    def level2_for(pre, eps0, eps1, inner_budget, kappa_mat):
         def solve_m(r):
             return solve_m1_psd(pre, r, inner_budget, eps1, counters, tun)
 
         return solve_m, {"eps0": eps0, "eps1": eps1, "inner_budget": inner_budget}
 
-    x, warm, main, kappa_m, budget_diag = two_phase_lanczos(
-        b_op, b, solve_m_for, kappa_mat,
-        cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
-        energy_certificate(cfg.eps, lt, 1.5 * pm_a + lam, tun),
-        cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
-    )
-    last = main or warm
-    pre.kappa_hat = kappa_m
-    diagnostics = {
-        "l_effective": l_eff,
-        "l_clamped": l_clamped,
-        "kappa_mat_estimate": kappa_mat,
-        "warmup_status": warm.status,
-        "level2_solver": "cholesky" if pre.phi_rows == pre.n else "lanczos",
-        "warmup_history": [[i, r] for i, r in warm.checkpoints],
-        "preconditioner": pre.diagnostics(),
-        "matvec_note": "matvecs counts every A application including setup probes",
-        **budget_diag,
-    }
-    return SolveReport(
-        x=x,
-        status=last.status,
-        method="msp-psd",
-        iterations={
-            "level1": last.iterations,
-            "warmup": warm.iterations,
-            "level2_total": counters["level2_total"],
-            "level2_runs": counters["level2_runs"],
-        },
-        matvecs=tun.lambda0_probes + tun.power_iters + warm.n_matvec
-        + (main.n_matvec if main else 0),
-        residual_history=[[i, r] for i, r in last.checkpoints],
-        kappa_m_estimate=kappa_m,
-        wall_ms=(time.perf_counter() - t_start) * 1e3,
-        config_echo=vars(cfg).copy(),
-        stop_reason=last.stop_reason,
-        diagnostics=diagnostics,
-        workspace=last,
-        preconditioner=pre,
+    def path_diagnostics(pre):
+        return {
+            "level2_solver": "cholesky" if pre.phi_rows == pre.n else "lanczos",
+            "matvec_note": "matvecs counts the A applications this call made: level 1, "
+            "the power method when it ran, the lambda0 probes when it built the "
+            "preconditioner",
+        }
+
+    return solve_level1(
+        "msp-psd", operator_of(a), b, cfg, pre, build, level2_for, counters, path_diagnostics,
+        products=1, trace=trace, tun=tun,
     )

@@ -143,11 +143,6 @@ def sketch_apply_left(s_emb: SparseEmbedding, b: Union[MatrixHandle, np.ndarray]
     return MatrixHandle(np.ascontiguousarray(out))
 
 
-def sketch_apply_vec(s_emb: SparseEmbedding, x: np.ndarray) -> np.ndarray:
-    """S x for a single vector (cheap path used inside solver loops)."""
-    return np.asarray(s_emb.matrix() @ np.asarray(x, dtype=np.float64))
-
-
 @dataclass
 class OseSketch:
     """Subspace embedding Phi (phi x n); embedding=None means identity (phi == n)."""

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import mspsolve.psd
+from mspsolve.config import DEFAULT
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.nystrom import build_nystrom_psd
@@ -47,6 +48,9 @@ def test_zero_rhs_short_circuits():
     assert rep.stop_reason == "zero-rhs"
     assert np.array_equal(rep.x, np.zeros(32))
     assert rep.matvecs == 0
+    # the same iteration keys as a real solve
+    real = solve_psd(np.eye(32), np.ones(32), PsdSolveConfig(l=6))
+    assert set(rep.iterations) == set(real.iterations)
 
 
 def test_huge_shift_converges_immediately():
@@ -224,7 +228,8 @@ def test_reused_preconditioner_caches_the_norm_estimate(monkeypatch):
     again = solve_psd(a, b, cfg, pre=fresh.preconditioner)
     assert calls == []
     assert again.x.tobytes() == fresh.x.tobytes()
-    assert again.matvecs == fresh.matvecs
+    # neither the lambda0 probes nor the power method ran again
+    assert again.matvecs == fresh.matvecs - DEFAULT.power_iters - DEFAULT.lambda0_probes
     assert again.iterations == fresh.iterations
 
 
