@@ -289,8 +289,6 @@ def solve_least_squares(
             break
         inner = solve_normal(a_bar, g, inner_cfg, state=state, tun=tun)
         level1_total += inner.iterations["level1"]
-        if inner.diagnostics.get("warmup_status") not in ("converged", "breakdown"):
-            level1_total += inner.iterations["warmup"]  # else level1 counts the warmup
         z = inner.x
         az = a.matvec(z)
         matvecs += 1

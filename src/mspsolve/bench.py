@@ -30,7 +30,7 @@ from .general import GeneralSolveConfig, solve_normal
 from .instances import InstanceSpec, gen_instance
 # preconditioned_lanczos is unused here, but tracers rebind it by this name.
 from .lanczos import SolveMContract, preconditioned_lanczos  # noqa: F401
-from .psd import PsdSolveConfig, _ritz_kappa, solve_psd, two_phase_lanczos
+from .psd import PsdSolveConfig, solve_psd, two_phase_lanczos
 from .report import SCHEMA_VERSION, SolveReport
 
 SOLVERS = ("plain-lanczos", "msp-psd", "msp-general", "dense-direct")
@@ -47,12 +47,13 @@ def solve_plain_lanczos(
 ) -> SolveReport:
     """Unpreconditioned Lanczos baseline for (A + lam*I) x = b, A symmetric.
 
-    Uses the same two-phase scheme as the preconditioned solver (short warmup,
-    Ritz-calibrated main budget) with the identity in place of M, so iteration
-    counts are comparable like for like.  The stopping rule is the plain
-    2-norm relative residual <= eps — a weaker bar than the preconditioned
-    solver's energy-norm certificate, which only flatters this baseline.
-    Unlike the msp solvers, level1 counts the warmup iterations too.
+    Runs on the same driver as the preconditioned solver (one run, its
+    budget set from its own Ritz values at step Tunables.warmup_iters) with
+    the identity in place of M, so iteration counts are comparable like for
+    like.  Before the Ritz read the run stops at relative residual <= eps;
+    after it, at <= eps/sqrt(kappa_hat), kappa_hat the inflated Ritz ratio of
+    its T there.  Since ||e||_B/||x||_B <= sqrt(kappa(B)) ||r||/||b||, that
+    certifies energy error eps as far as kappa_hat covers kappa(B).
     """
     t0 = time.perf_counter()
     a = a if isinstance(a, MatrixHandle) else MatrixHandle(np.asarray(a, dtype=float))
@@ -79,28 +80,22 @@ def solve_plain_lanczos(
         )
 
     identity_m = SolveMContract(apply=lambda r: r.copy(), eps0=0.0)
-    x, warm, main, _, _ = two_phase_lanczos(
-        b_op, b, lambda kappa: (identity_m, {}), float(n), eps,
-        lambda theta: (eps, {}), eps, trace=trace, tun=tun,
+    x, ws, kappa, _ = two_phase_lanczos(
+        b_op, b, identity_m, float(n), eps,
+        lambda theta, kappa: (eps / math.sqrt(kappa), {}), eps, trace=trace, tun=tun,
     )
-    history = [[i, r] for i, r in warm.checkpoints]
-    runs = [warm]
-    if main is not None:
-        history += [[warm.iterations + i, r] for i, r in main.checkpoints]
-        runs.append(main)
     return SolveReport(
         x=x,
-        status=runs[-1].status,
+        status=ws.status,
         method="plain-lanczos",
-        iterations={"level1": sum(ws.iterations for ws in runs), "warmup": warm.iterations},
-        matvecs=sum(ws.n_matvec for ws in runs),
-        residual_history=history,
-        # The raw Ritz estimate: None where the warmup's Ritz values give none.
-        kappa_m_estimate=_ritz_kappa(warm, tun),
+        iterations={"level1": ws.iterations, "warmup": min(ws.iterations, tun.warmup_iters)},
+        matvecs=ws.n_matvec,
+        residual_history=[[i, r] for i, r in ws.checkpoints],
+        kappa_m_estimate=kappa,  # see two_phase_lanczos; None where Ritz values give none
         wall_ms=(time.perf_counter() - t0) * 1e3,
         config_echo=config_echo,
-        stop_reason=runs[-1].stop_reason,
-        workspace=runs[-1],
+        stop_reason=ws.stop_reason,
+        workspace=ws,
     )
 
 

@@ -29,7 +29,8 @@ class Tunables:
     t_factor: float = 4.0
     # inner (level-2 / level-3) budget multiplier on the log term
     inner_budget_factor: float = 4.0
-    # interim-residual check cadence inside Lanczos
+    # longest gap between true-residual checks in a Lanczos run; a run also
+    # checks on each step where its recurrence says the target is met
     check_every: int = 10
     # warmup iterations used to estimate the preconditioned condition number
     warmup_iters: int = 10

@@ -41,7 +41,7 @@ from .errors import DomainError
 from .lanczos import preconditioned_lanczos
 from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
                       cho_apply, jittered_cholesky, lambda0_from_probes)
-from .psd import PsdSolveConfig, clamp_rank, solve_level1, solve_psd
+from .psd import PsdSolveConfig, clamp_rank, gram_inner, inner_lanczos, solve_level1, solve_psd
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
 
@@ -142,7 +142,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
         m3b_factor = scipy.linalg.cho_factor(m3b, lower=True, check_finite=False)
         return m3a_factor, m3b_factor
 
-    w_chol, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
+    _, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
         w, tun, "sketched Gram", then=factor_m3
     )
     state = GeneralMspState(
@@ -153,7 +153,6 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
         lam=cfg.lam,
         jitter=jitter,
         inner=None,
-        w_chol=w_chol,
         l=l_eff,
         gamma=gamma,
         seed=cfg.seed,
@@ -181,12 +180,9 @@ def solve_m2(
     the corresponding prefactored sketch Gram factor.
     """
     r = as_vector(r, state.s)
-    if float(np.linalg.norm(r)) == 0.0:
-        return np.zeros(state.s)
     lt = state.lambda_tilde
     w_j = state.w_j
-    t3 = budgets["t3"]
-    eps2 = budgets["eps2"]
+    t3, eps2 = budgets["t3"], budgets["eps2"]
 
     def w_op(y):
         return w_j @ y
@@ -194,17 +190,10 @@ def solve_m2(
     def w_shift_op(y):
         return w_j @ y + lt * y
 
-    u, ws_a = preconditioned_lanczos(
-        w_op, r, cho_apply(state.m3a_factor), t_max=t3, residual_target=eps2,
-        check_every=tun.check_every, tun=tun,
-    )
-    v, ws_b = preconditioned_lanczos(
-        w_shift_op, r, cho_apply(state.m3b_factor), t_max=t3, residual_target=eps2,
-        check_every=tun.check_every, tun=tun,
-    )
-    if counters is not None:
-        counters["level3a_total"] = counters.get("level3a_total", 0) + ws_a.iterations
-        counters["level3b_total"] = counters.get("level3b_total", 0) + ws_b.iterations
+    u = inner_lanczos(preconditioned_lanczos, w_op, r, cho_apply(state.m3a_factor), t3, eps2,
+                      counters, "level3a", tun)
+    v = inner_lanczos(preconditioned_lanczos, w_shift_op, r, cho_apply(state.m3b_factor), t3,
+                      eps2, counters, "level3b", tun)
     return (u - v) / lt
 
 
@@ -218,34 +207,13 @@ def solve_m1_general(
     """Approximate M^{-1} r through the inversion formula on the stored C.
 
     Level-2 system: (C^T C + lt*W_j) y = C^T r, Lanczos on the operator
-    y -> C^T(C y) + lt*(W_j y) preconditioned by SolveM2; then
-    w = (r - C y) / lt.  No product with A is made.
+    y -> C^T(C y) + lt*(W_j y) (psd.gram_inner) preconditioned by SolveM2;
+    then w = (r - C y) / lt.  No product with A is made.
     """
-    c = state.C.to_dense()
-    lt = state.lambda_tilde
-    w_j = state.w_j
-
-    def g_op(y):
-        return c.T @ (c @ y) + lt * (w_j @ y)
-
     def m2_solve(rr):
         return solve_m2(state, rr, budgets, counters, tun)
 
-    def inner(rhs, tol):
-        if float(np.linalg.norm(rhs)) == 0.0:
-            return np.zeros(state.s)
-        y, ws = preconditioned_lanczos(
-            g_op, rhs, m2_solve,
-            t_max=budgets["t2"], residual_target=tol,
-            check_every=tun.check_every, tun=tun,
-        )
-        if counters is not None:
-            counters["level2_total"] = counters.get("level2_total", 0) + ws.iterations
-            counters["level2_runs"] = counters.get("level2_runs", 0) + 1
-            if ws.status == "budget-exhausted":
-                counters["level2_exhausted"] = counters.get("level2_exhausted", 0) + 1
-        return y
-
+    inner = gram_inner(preconditioned_lanczos, state, m2_solve, budgets["t2"], counters, tun)
     return apply_minv_via_formula(state, r, inner, budgets["eps1"])
 
 
@@ -266,10 +234,10 @@ def solve_normal(
 
     Level 1 is psd.solve_level1 on B = A^T A; level 2 is solve_m1_general.
     The report's `matvecs` counts the vector products with A or A^T that
-    this call made: two per level-1 step, two per power-method step when the
-    ||A^T A|| estimate is not yet cached on the state, and one per lambda0
-    probe when this call builds the state.  It does not count the block
-    products A_tilde = A S^T and C = A^T A_tilde made at build time.
+    this call made: two per level-1 step and residual check, two per
+    power-method step when the ||A^T A|| estimate is not yet cached on the
+    state, and one per lambda0 probe when this call builds the state.  It
+    does not count the block products A_tilde = A S^T and C = A^T A_tilde.
     """
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))

@@ -182,21 +182,30 @@ def preconditioned_lanczos(
     check_every: int = 10,
     trace: Optional[Callable[[dict], None]] = None,
     tun: Tunables = DEFAULT,
+    retarget: Optional[Tuple[int, Callable[[TridiagonalMatrix], Tuple[int, float]]]] = None,
 ) -> Tuple[np.ndarray, LanczosWorkspace]:
     """Run the left-preconditioned Lanczos iteration for A x = b.
 
-    solve_m(r) supplies (approximate) M^{-1} r.  If residual_target is given,
-    every check_every iterations the interim iterate is formed explicitly and
-    the loop exits once ||A x - b|| <= residual_target * ||b||; otherwise the
-    full t_max budget runs.  Returns the final iterate and the workspace
+    solve_m(r) supplies (approximate) M^{-1} r.  Without residual_target the
+    full t_max budget runs.  With it, the LDL^T of T_i (one pivot d_i and
+    y_i = (L^{-1} e1)_i per step) gives the iterate's residual norm for free:
+    A Qbar_i = Q_i T_i + w_i e_i^T makes ||b - A x_i|| = z' |y_i/d_i| ||w_i||
+    (Saad, Iterative Methods for Sparse Linear Systems, 6.7).  On the step
+    that estimate meets the target, and at every multiple of check_every
+    (the longest gap between checks), x_i is formed and its true residual
+    computed; the loop exits once that is <= residual_target * ||b||.
+    retarget = (k, f) hands T_k to f on step k, which returns the run's new
+    (t_max, residual_target).  Returns the final iterate and the workspace
     (basis, tridiagonal, status, counters).
 
-    Statuses: "converged" (residual target met, or the Krylov space closed
-    cleanly), "budget-exhausted" (t_max reached first, or the checked residual
-    stopped improving — stop_reason "stagnation" — meaning the target sits
-    below what floating point can attain here), "breakdown" (an inner product
-    that must be nonnegative came out negative beyond tolerance; the best
-    iterate so far is returned).
+    Statuses: "converged" (true residual target met, or the Krylov space
+    closed cleanly), "budget-exhausted" (t_max reached first, or, after any
+    retarget step, three checks in a row improved the true residual by under
+    1%: stop_reason "accuracy-floor" if the estimate meets the target there,
+    the recurrence-to-true residual gap being the float floor (Greenbaum
+    1997), else "stagnation"), "breakdown" (an inner product that must be
+    nonnegative came out negative beyond tolerance; the best iterate so far
+    is returned).
     """
     a_op = operator_of(a_apply)
     b = as_vector(b)
@@ -233,6 +242,7 @@ def preconditioned_lanczos(
     q_under = b / z_prime
     q_under_prev = np.zeros(n)
     beta = 0.0
+    pivot, y_last = 0.0, 1.0  # d_i and y_i of the LDL^T of T_i
 
     q_over_cols: List[np.ndarray] = []
     alphas: List[float] = []
@@ -244,7 +254,9 @@ def preconditioned_lanczos(
     status = "budget-exhausted"
     stop_reason = "t-max"
 
-    for i in range(1, t_max + 1):
+    i = 0
+    while i < t_max:
+        i += 1
         q_over_cols.append(q_bar)
         u = a_op(q_bar)
         n_matvec += 1
@@ -252,6 +264,11 @@ def preconditioned_lanczos(
             u = u - beta * q_under_prev
         alpha = float(u @ q_bar)
         alphas.append(alpha)
+        if i > 1:
+            lower = beta / pivot if pivot != 0.0 else math.inf
+            pivot, y_last = alpha - beta * lower, -lower * y_last
+        else:
+            pivot = alpha
         w = u - alpha * q_under
         w_bar = solve(w)
         ip = float(w @ w_bar)
@@ -275,10 +292,15 @@ def preconditioned_lanczos(
             stop_reason = "clean-break"
             break
 
-        do_check = residual_target is not None and (
-            i % check_every == 0 or i == t_max
+        if retarget is not None and i == retarget[0]:
+            tri = TridiagonalMatrix(np.array(alphas), np.array(betas[: i - 1]))
+            t_max, residual_target = retarget[1](tri)
+            retarget = None
+
+        met = residual_target is not None and pivot != 0.0 and (
+            z_prime * abs(y_last / pivot) * w_norm / b_norm <= residual_target
         )
-        if do_check:
+        if residual_target is not None and (met or i % check_every == 0 or i >= t_max):
             x_i = _final_iterate(q_over_cols, alphas, betas, z_prime, None, n)
             resid = float(np.linalg.norm(b - a_op(x_i)))
             n_matvec += 1
@@ -295,12 +317,12 @@ def preconditioned_lanczos(
                 status = "converged"
                 stop_reason = "residual-target"
                 break
-            if flat_checks >= 3:
+            if flat_checks >= 3 and retarget is None:
                 status = "budget-exhausted"
-                stop_reason = "stagnation"
+                stop_reason = "accuracy-floor" if met else "stagnation"
                 break
 
-        if i == t_max:
+        if i >= t_max:
             break
         beta = beta_next
         q_under_prev = q_under

@@ -60,7 +60,6 @@ class NystromPreconditioner:
     lam: float
     jitter: float
     inner: Optional[tuple]
-    w_chol: tuple
     l: int
     gamma: int
     seed: int
@@ -317,7 +316,7 @@ def build_nystrom_psd(
         m2 = pc.T @ pc + lambda_tilde * w_j
         return scipy.linalg.cho_factor(m2, lower=True, check_finite=False)
 
-    w_chol, w_j, jitter, inner = jittered_cholesky(w, tun, "W", then=factor_m2)
+    _, w_j, jitter, inner = jittered_cholesky(w, tun, "W", then=factor_m2)
     pre = NystromPreconditioner(
         C=c_handle,
         W=MatrixHandle(w, sym="spd"),
@@ -326,7 +325,6 @@ def build_nystrom_psd(
         lam=lam,
         jitter=jitter,
         inner=inner,
-        w_chol=w_chol,
         l=l,
         gamma=gamma,
         seed=seed,

@@ -8,11 +8,12 @@ subspace embedding Phi is the identity, M2 is the level-2 matrix itself, so
 level 2 is one direct s x s solve through that factor.  Otherwise level 2 is
 Lanczos preconditioned by M2, one direct s x s solve per inner iteration.
 
-Iteration budgets and inner tolerances are derived at run time: a short
-warmup run supplies Ritz values, whose spread (inflated x2) estimates the
-preconditioned condition number; that drives t_max, the inner tolerance
-cascade, and the residual target that certifies the energy-norm error
-contract.  Trivially easy systems simply converge during the warmup.
+Iteration budgets and inner tolerances are derived at run time.  Level 1
+is one Lanczos run; at step Tunables.warmup_iters its own T supplies Ritz
+values, whose spread (inflated x2) estimates the preconditioned condition
+number.  That sets t_max and the residual target that certifies the
+energy-norm error contract, and the run continues from its own state.
+Trivially easy systems simply converge before that step.
 `two_phase_lanczos` runs that scheme, and the plain-Lanczos baseline runs on
 it too.  `solve_level1` is level 1 around it for any PSD B with a Nystrom
 preconditioner: `solve_psd` runs it on B = A with the level 2 above, and the
@@ -40,9 +41,9 @@ from .report import SolveReport
 class PsdSolveConfig:
     """Knobs for one PSD solve; eps is the target relative energy-norm error.
 
-    t_max_override replaces the Ritz-derived iteration budget of the main
-    level-1 run.  Like that budget, it is raised to Tunables.warmup_iters
-    when smaller and capped at 2n.
+    t_max_override replaces the Ritz-derived cap on the level-1 run's total
+    steps.  Like that cap, it is raised to Tunables.warmup_iters when smaller
+    and capped at 2n.
     """
 
     l: int
@@ -72,16 +73,59 @@ def clamp_rank(l: int, n: int) -> tuple:
     return l_eff, (l_eff != l)
 
 
-def _ritz_kappa(ws, tun: Tunables) -> Optional[float]:
+def _ritz_kappa(tri, tun: Tunables) -> Optional[float]:
     """Preconditioned condition estimate from a run's tridiagonal block."""
-    if ws.tridiag is None or ws.tridiag.t < 1:
+    if tri is None:
         return None
-    theta = ritz_values(ws.tridiag)
+    theta = ritz_values(tri)
     tmax = float(theta[-1])
     if tmax <= 0.0:
         return None
     tmin = max(float(theta[0]), 1e-14 * tmax)
     return tun.ritz_inflation * tmax / tmin
+
+
+def _tally(counters: Optional[dict], level: str, steps: int, exhausted: bool = False) -> None:
+    """Count one run: its steps in level_total, 1 in level_runs (and level_exhausted)."""
+    if counters is not None:
+        counters[level + "_total"] = counters.get(level + "_total", 0) + steps
+        counters[level + "_runs"] = counters.get(level + "_runs", 0) + 1
+        if exhausted:
+            counters[level + "_exhausted"] = counters.get(level + "_exhausted", 0) + 1
+
+
+def inner_lanczos(lanczos, op, rhs, solve_m, t_max, tol, counters, level, tun) -> np.ndarray:
+    """One inner-level Krylov run to relative residual tol, tallied under `level`.
+
+    `lanczos` is the caller's module-level preconditioned_lanczos, looked up
+    at call time, so each level's runs go through its own module's name.  A
+    zero rhs returns zeros and counts no run.
+    """
+    if float(np.linalg.norm(rhs)) == 0.0:
+        return np.zeros(rhs.shape[0])
+    y, ws = lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol,
+                    check_every=tun.check_every, tun=tun)
+    _tally(counters, level, ws.iterations, ws.status == "budget-exhausted")
+    return y
+
+
+def gram_inner(lanczos, pre, m2_solve, t_max, counters, tun) -> Callable:
+    """Level 2 for apply_minv_via_formula: (rhs, tol) -> y, Lanczos on the Gram system.
+
+    The operator y -> C^T(C y) + lt*(W_j y) is two dense GEMVs on the stored
+    C and W_j; m2_solve preconditions it.
+    """
+    c = pre.C.to_dense()
+    w_j = pre.w_jittered()
+    lt = pre.lambda_tilde
+
+    def g_op(y):
+        return c.T @ (c @ y) + lt * (w_j @ y)
+
+    def inner(rhs, tol):
+        return inner_lanczos(lanczos, g_op, rhs, m2_solve, t_max, tol, counters, "level2", tun)
+
+    return inner
 
 
 def solve_m1_psd(
@@ -96,40 +140,17 @@ def solve_m1_psd(
 
     When Phi is the identity, the prefactored M2 is the Gram matrix
     C^T C + lt*W_j, so level 2 is one direct solve through it, counted as one
-    run of one step.  Otherwise level 2 is Lanczos on the Gram system: its
-    operator is two dense GEMVs (C and W are stored here) and its
-    preconditioner is the exact prefactored M2, so the only inner error is
-    the level-2 truncation, driven below eps1.
+    run of one step.  Otherwise level 2 is Lanczos on the Gram system
+    (gram_inner) preconditioned by the exact prefactored M2, so the only
+    inner error is the level-2 truncation, driven below eps1.
     """
-    c = pre.C.to_dense()
-    w_j = pre.w_jittered()
-    lt = pre.lambda_tilde
-
-    def g_op(y):
-        return c.T @ (c @ y) + lt * (w_j @ y)
-
     m2_solve = cho_apply(pre.inner)
-
-    def inner(rhs, tol):
-        if float(np.linalg.norm(rhs)) == 0.0:
-            return np.zeros(pre.s)
-        if pre.phi_rows == pre.n:
-            y, iterations = m2_solve(rhs), 1
-        else:
-            y, ws = preconditioned_lanczos(
-                g_op,
-                rhs,
-                m2_solve,
-                t_max=inner_budget,
-                residual_target=tol,
-                check_every=tun.check_every,
-                tun=tun,
-            )
-            iterations = ws.iterations
-        if counters is not None:
-            counters["level2_total"] = counters.get("level2_total", 0) + iterations
-            counters["level2_runs"] = counters.get("level2_runs", 0) + 1
-        return y
+    if pre.phi_rows != pre.n:
+        inner = gram_inner(preconditioned_lanczos, pre, m2_solve, inner_budget, counters, tun)
+    else:
+        def inner(rhs, tol):
+            _tally(counters, "level2", 1)
+            return m2_solve(rhs)
 
     return apply_minv_via_formula(pre, r, inner, eps1)
 
@@ -137,54 +158,51 @@ def solve_m1_psd(
 def two_phase_lanczos(
     b_op,
     b: np.ndarray,
-    solve_m_for: Callable[[float], tuple],
+    solve_m,
     kappa0: float,
     warmup_target: float,
-    main_target: Callable[[np.ndarray], tuple],
+    main_target: Callable[[np.ndarray, float], tuple],
     eps: float,
     *,
     t_max_override: Optional[int] = None,
     trace: Optional[Callable[[dict], None]] = None,
     tun: Tunables = DEFAULT,
 ) -> tuple:
-    """Warmup, Ritz estimate, budgeted main run: the scheme every solver shares.
+    """One Lanczos run, budgeted from its own Ritz values: the scheme every solver shares.
 
-    A short warmup with per-iteration checks runs with the SolveM that
-    solve_m_for(kappa0) returns; easy systems converge right there.
-    Otherwise its Ritz values give kappa (inflated, kappa0 if they give none),
-    which sizes t_max and the main run's SolveM, and main_target(theta) gives
-    the main run's residual target.  solve_m_for(kappa) returns the SolveM
-    callable and its budget diagnostics; main_target returns the target and
-    its diagnostics.
+    Up to step Tunables.warmup_iters the run aims at warmup_target; easy
+    systems converge right there.  At that step its own T gives the Ritz
+    values theta and kappa (inflated, kappa0 if they give none), which size
+    t_max, the cap on the run's total steps, and main_target(theta, kappa)
+    gives the residual target the run then continues to (and its
+    diagnostics).  t_max_override replaces the Ritz-derived t_max; either is
+    raised to warmup_iters when smaller and capped at 2n.
 
-    Returns (x, warmup workspace, main workspace or None if the warmup ended
-    the solve, kappa, diagnostics of the main run's budgets).  kappa is the
-    value the main run was sized with, or the raw Ritz estimate (possibly
-    None) when there was no main run.
+    Returns (x, workspace, kappa, diagnostics of the budget).  kappa is the
+    value t_max was sized with, or the raw Ritz estimate of the final T
+    (possibly None) when the run ended before the Ritz read.
     """
-    solve_m, _ = solve_m_for(kappa0)
-    x, warm = preconditioned_lanczos(
-        b_op, b, solve_m,
-        t_max=tun.warmup_iters, residual_target=warmup_target, check_every=1, tun=tun,
-    )
-    kappa = _ritz_kappa(warm, tun)
-    if warm.status in ("converged", "breakdown"):
-        return x, warm, None, kappa, {}
+    read: dict = {}
 
-    if kappa is None:
-        kappa = kappa0
-    residual_target, target_diag = main_target(ritz_values(warm.tridiag))
-    t_max = t_max_override or int(
-        math.ceil(tun.t_factor * math.sqrt(kappa) * math.log(max(kappa / eps, math.e)))
+    def retarget(tri):
+        theta = ritz_values(tri)
+        kappa = _ritz_kappa(tri, tun) or kappa0
+        target, target_diag = main_target(theta, kappa)
+        t_max = t_max_override or int(
+            math.ceil(tun.t_factor * math.sqrt(kappa) * math.log(max(kappa / eps, math.e)))
+        )
+        t_max = min(max(t_max, tun.warmup_iters), 2 * b.shape[0])
+        read.update(kappa=kappa, diag={"t_max": t_max, **target_diag})
+        return t_max, target
+
+    x, ws = preconditioned_lanczos(
+        b_op, b, solve_m, t_max=tun.warmup_iters, residual_target=warmup_target,
+        check_every=tun.check_every, trace=trace, tun=tun,
+        retarget=(tun.warmup_iters, retarget),
     )
-    t_max = min(max(t_max, tun.warmup_iters), 2 * b.shape[0])
-    solve_m, budget_diag = solve_m_for(kappa)
-    x, main = preconditioned_lanczos(
-        b_op, b, solve_m,
-        t_max=t_max, residual_target=residual_target, check_every=tun.check_every,
-        trace=trace, tun=tun,
-    )
-    return x, warm, main, kappa, {"t_max": t_max, **budget_diag, **target_diag}
+    if not read:
+        return x, ws, _ritz_kappa(ws.tridiag, tun), {}
+    return x, ws, read["kappa"], read["diag"]
 
 
 def solve_level1(
@@ -207,14 +225,16 @@ def solve_level1(
     op applies B, the PSD matrix `pre` approximates: A on the PSD path, A^T A
     on the normal-equations path, at `products` products with A per apply.
     `pre` is build() unless given, and ||B|| comes from the power method
-    unless cached on `pre`.  They give the inner targets eps0, eps1 and the
-    level-2 budget; level2_for(pre, eps0, eps1, budget, kappa_mat) returns
-    the SolveM for them and its budget diagnostics.  The SolveM adds its
-    inner iteration counts to `counters`, whose keys (all zero on entry)
-    join level1 and warmup in the report's iterations; path_diagnostics(pre)
-    adds the path's own diagnostics.  matvecs counts the products with A
-    this call made: level 1's, the power method's when it ran, and one per
-    lambda0 probe when this call built `pre`.
+    unless cached on `pre`.  They give kappa_mat, an upper estimate of
+    cond(M), and from it the inner targets eps0, eps1 and the level-2
+    budget; level2_for(pre, eps0, eps1, budget, kappa_mat) returns the SolveM
+    for them and its budget diagnostics.  The SolveM adds its inner iteration
+    counts to `counters`, whose keys (all zero on entry) join level1 (every
+    level-1 step) and warmup (the steps up to the Ritz read) in the report's
+    iterations; path_diagnostics(pre) adds the path's own diagnostics.
+    matvecs counts the products with A this call made: level 1's steps and
+    residual checks, the power method's when it ran, and one per lambda0
+    probe when this call built `pre`.
     """
     t_start = time.perf_counter()
     n = b.shape[0]
@@ -244,47 +264,44 @@ def solve_level1(
     pm, lt = pre.pm_norm, pre.lambda_tilde
     kappa_mat = (pm + lt) / lt  # upper estimate of cond(M): B_nys <= B
 
-    def solve_m_for(kappa):
-        eps0 = max(tun.eps_floor, cfg.eps / (kappa * n))
-        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
-        budget = int(math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e))))
-        return level2_for(pre, eps0, eps1, budget, kappa_mat)
+    eps0 = max(tun.eps_floor, cfg.eps / (kappa_mat * n))
+    eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
+    budget = int(math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e))))
+    solve_m, budget_diag = level2_for(pre, eps0, eps1, budget, kappa_mat)
 
-    def main_target(theta):
-        # lam_min(B + lam) ~ theta_min*lt/ritz_inflation from the warmup's
-        # smallest Ritz value of M^{-1}(B + lam) (M >= lt*I; the inflation
-        # covers its overestimate).  Against 1.5*||B|| + lam >= lam_max, a
-        # relative residual of eps/sqrt(kappa_b) certifies energy error eps.
+    def main_target(theta, kappa):
+        # lam_min(B + lam) ~ theta_min*lt/ritz_inflation from the smallest
+        # Ritz value of M^{-1}(B + lam) at the Ritz read (M >= lt*I; the
+        # inflation covers its overestimate).  Against 1.5*||B|| + lam >=
+        # lam_max, a relative residual of eps/sqrt(kappa_b) certifies energy
+        # error eps.
         theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
         kappa_b = max((1.5 * pm + lam) / max(theta_min * lt / tun.ritz_inflation, 1e-300), 1.0)
         target = max(cfg.eps / math.sqrt(kappa_b), 1e-15)
         return target, {"kappa_b_estimate": kappa_b, "residual_target": target}
 
-    x, warm, main, kappa_m, budget_diag = two_phase_lanczos(
-        b_op, b, solve_m_for, kappa_mat, cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
+    x, ws, kappa_m, read_diag = two_phase_lanczos(
+        b_op, b, solve_m, kappa_mat, cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
         main_target, cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
     )
-    last = main or warm
     pre.kappa_hat = kappa_m
-    applies = warm.n_matvec + (main.n_matvec if main else 0)
     return report(
-        {"level1": last.iterations, "warmup": warm.iterations},
-        x=x, status=last.status, stop_reason=last.stop_reason,
-        matvecs=products * (applies + (tun.power_iters if power_ran else 0))
+        {"level1": ws.iterations, "warmup": min(ws.iterations, tun.warmup_iters)},
+        x=x, status=ws.status, stop_reason=ws.stop_reason,
+        matvecs=products * (ws.n_matvec + (tun.power_iters if power_ran else 0))
         + (tun.lambda0_probes if built else 0),
-        residual_history=[[i, r] for i, r in last.checkpoints],
+        residual_history=[[i, r] for i, r in ws.checkpoints],
         kappa_m_estimate=kappa_m,
         diagnostics={
             "l_effective": pre.l,
             "l_clamped": pre.l != cfg.l,
             "kappa_mat_estimate": kappa_mat,
-            "warmup_status": warm.status,
-            "warmup_history": [[i, r] for i, r in warm.checkpoints],
             "preconditioner": pre.diagnostics(),
             **budget_diag,
+            **read_diag,
             **path_diagnostics(pre),
         },
-        workspace=last,
+        workspace=ws,
         preconditioner=pre,
     )
 

@@ -15,7 +15,7 @@ from mspsolve.bench import SOLVERS, run_compare, solve_plain_lanczos
 from mspsolve.cli import cli_main
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
-from mspsolve.instances import InstanceSpec
+from mspsolve.instances import InstanceSpec, gen_instance
 from mspsolve.io import read_matrix, read_vector, write_mtx, write_vector
 
 rng = np.random.default_rng(20250819)
@@ -46,6 +46,21 @@ def test_plain_lanczos_identity_and_validation():
         solve_plain_lanczos(MatrixHandle(np.ones((4, 3))), np.ones(4))
     with pytest.raises(DomainError):
         solve_plain_lanczos(a, b, lam=-1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6])
+def test_plain_lanczos_converged_means_energy_error_within_eps(eps):
+    # The baseline stops at relres <= eps/sqrt(kappa_hat) after its Ritz read,
+    # so a "converged" claim must hold in the energy norm, not only in the
+    # residual.
+    for seed in range(4):
+        a, b, _ = gen_instance(InstanceSpec("k-large-psd", n=256, k=4, ratio=1e4, seed=seed))
+        rep = solve_plain_lanczos(a, b, eps=eps)
+        if rep.converged:
+            dense = a.to_dense()
+            x_star = np.linalg.solve(dense, b)
+            e = rep.x - x_star
+            assert np.sqrt(e @ dense @ e) <= eps * np.sqrt(x_star @ dense @ x_star)
 
 
 def test_compare_prebuilt_identity_all_solvers():

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import mspsolve.general
+from mspsolve.bench import run_compare
 from mspsolve.config import DEFAULT
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
@@ -14,6 +15,7 @@ from mspsolve.general import (
     solve_normal,
     solve_normal_given_gram,
 )
+from mspsolve.instances import InstanceSpec
 
 import oracles
 
@@ -95,6 +97,17 @@ def test_t_max_override_caps_the_main_run(override, t_max):
     assert rep.iterations["level1"] == t_max
     assert rep.diagnostics["t_max"] == t_max
     assert np.all(np.isfinite(rep.x))
+
+
+def test_float_floor_is_named_accuracy_floor():
+    # The kappa_b certificate asks for a residual below what float64 reaches
+    # here: the recurrence's estimate meets it, the true residual stalls.
+    spec = InstanceSpec("k-large-general", n=128, m=500, k=4, seed=7)
+    table = run_compare(spec, ["msp-general"], {"eps": 1e-8, "lam": 0.2}, warmup_runs=0)
+    row = table.rows[0]
+    assert row["status"] == "budget-exhausted"
+    assert row["stop_reason"] == "accuracy-floor"
+    assert row["residual"] <= 1e-10
 
 
 # -- the main contract ---------------------------------------------------------------

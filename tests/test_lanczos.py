@@ -201,6 +201,22 @@ def test_inexact_solve_barely_moves_iteration_count():
             assert abs(got - base) <= max(1, round(0.1 * base))
 
 
+def test_stop_step_does_not_depend_on_check_cadence():
+    # The recurrence's residual estimate triggers a true check on the step
+    # the target is met, so a sparser cadence must not overshoot it.
+    vals = np.geomspace(1e2, 1.0, 200)
+    b = np.random.default_rng(0).standard_normal(200)
+    steps = []
+    for check_every in (1, 10):
+        _, ws = preconditioned_lanczos(
+            np.diag(vals), b, identity_m, t_max=400, residual_target=1e-8,
+            check_every=check_every,
+        )
+        assert ws.status == "converged"
+        steps.append(ws.iterations)
+    assert steps[0] == steps[1]
+
+
 def test_checkpoint_residuals_do_not_blow_up():
     n = 120
     vals = np.geomspace(1e3, 1.0, n)

@@ -55,7 +55,6 @@ def manual_pre(a_dense, s, lt, seed, l=20):
         lam=0.0,
         jitter=jitter,
         inner=inner,
-        w_chol=scipy.linalg.cho_factor(w_j, lower=True),
         l=l,
         gamma=4,
         seed=seed,
@@ -287,7 +286,6 @@ def test_exact_reference_size_guard():
         lam=0.0,
         jitter=0.0,
         inner=(),
-        w_chol=(),
         l=8,
         gamma=2,
         seed=0,

@@ -131,6 +131,32 @@ def test_preconditioner_reuse_across_right_hand_sides():
     assert rep2.preconditioner is rep1.preconditioner
 
 
+def test_one_level1_run_per_solve(monkeypatch):
+    # The Ritz read happens inside the run, so a solve that goes past it is
+    # still one Lanczos run (level 2 is direct here: Phi is the identity).
+    n = 256
+    a = flat_tail_psd(n, 8, 1e4, seed=30)
+    rng = np.random.default_rng(31)
+    cfg = PsdSolveConfig(l=16, lam=0.0, eps=1e-8, seed=32)
+    pre = solve_psd(a, rng.standard_normal(n), cfg).preconditioner
+    runs = []
+    original = mspsolve.psd.preconditioned_lanczos
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", counting)
+    rep = solve_psd(a, rng.standard_normal(n), cfg, pre=pre)
+    assert rep.converged
+    assert rep.diagnostics["level2_solver"] == "cholesky"
+    assert rep.iterations["level1"] > DEFAULT.warmup_iters == rep.iterations["warmup"]
+    assert len(runs) == 1
+    # On a reused preconditioner every product with A is a level-1 step or
+    # one residual check.
+    assert rep.matvecs == rep.iterations["level1"] + len(rep.residual_history)
+
+
 def test_budget_exhaustion_is_reported_not_raised():
     # A decaying spectrum with no flat tail is outside the preconditioner's
     # speedup class; with a tiny iteration cap the solve must end honestly.
