@@ -50,10 +50,12 @@ def solve_plain_lanczos(
     Runs on the same driver as the preconditioned solver (one run, its
     budget set from its own Ritz values at step Tunables.warmup_iters) with
     the identity in place of M, so iteration counts are comparable like for
-    like.  Before the Ritz read the run stops at relative residual <= eps;
-    after it, at <= eps/sqrt(kappa_hat), kappa_hat the inflated Ritz ratio of
-    its T there.  Since ||e||_B/||x||_B <= sqrt(kappa(B)) ||r||/||b||, that
-    certifies energy error eps as far as kappa_hat covers kappa(B).
+    like.  Before the Ritz read the run aims at no target, since no residual
+    bound certifies the energy error without a kappa estimate; only a clean
+    break ends it there.  After it the run stops at relative residual
+    <= eps/sqrt(kappa_hat), kappa_hat the inflated Ritz ratio of its T there.
+    Since ||e||_B/||x||_B <= sqrt(kappa(B)) ||r||/||b||, that certifies
+    energy error eps as far as kappa_hat covers kappa(B).
     """
     t0 = time.perf_counter()
     a = a if isinstance(a, MatrixHandle) else MatrixHandle(np.asarray(a, dtype=float))
@@ -81,7 +83,7 @@ def solve_plain_lanczos(
 
     identity_m = SolveMContract(apply=lambda r: r.copy(), eps0=0.0)
     x, ws, kappa, _ = two_phase_lanczos(
-        b_op, b, identity_m, float(n), eps,
+        b_op, b, identity_m, float(n), None,
         lambda theta, kappa: (eps / math.sqrt(kappa), {}), eps, trace=trace, tun=tun,
     )
     return SolveReport(
@@ -152,6 +154,27 @@ def _dense_direct(a: MatrixHandle, b: np.ndarray, lam: float) -> SolveReport:
         config_echo={"method": "dense-direct", "lam": lam},
         stop_reason="direct",
     )
+
+
+def run_solver(name: str, a: MatrixHandle, b: np.ndarray, *, lam: float, eps: float, l: int,
+               delta: float, seed: int, tun: Tunables = DEFAULT) -> SolveReport:
+    """Solve with the SOLVERS entry `name` at the given targets.
+
+    msp-general solves the normal equations (A^T A + lam*I) x = A^T b; the
+    others solve (A + lam*I) x = b, or least squares for dense-direct on a
+    rectangular A.
+    """
+    if name == "plain-lanczos":
+        return solve_plain_lanczos(a, b, lam=lam, eps=eps, tun=tun)
+    if name == "msp-psd":
+        cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
+        return solve_psd(a, b, cfg, tun=tun)
+    if name == "msp-general":
+        cfg = GeneralSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
+        return solve_normal(a, a.rmatvec(b), cfg, tun=tun)
+    if name == "dense-direct":
+        return _dense_direct(a, b, lam)
+    raise DomainError(f"unknown solver {name!r}; pick from {SOLVERS}")
 
 
 def _recompute_residual(a: MatrixHandle, b: np.ndarray, x: np.ndarray,
@@ -290,20 +313,10 @@ def run_compare(
         rep: Optional[SolveReport] = None
         try:
             def run() -> SolveReport:
-                if name == "plain-lanczos":
-                    if a.sym != "spd":
-                        raise DomainError("plain-lanczos needs a symmetric PSD operator")
-                    return solve_plain_lanczos(a, b, lam=lam, eps=eps, tun=tun)
-                if name == "msp-psd":
-                    if a.sym != "spd":
-                        raise DomainError("msp-psd needs a symmetric PSD operator")
-                    cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-                    return solve_psd(a, b, cfg, tun=tun)
-                if name == "msp-general":
-                    cfg = GeneralSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-                    c = a.rmatvec(b)
-                    return solve_normal(a, c, cfg, tun=tun)
-                return _dense_direct(a, b, lam)
+                if name in ("plain-lanczos", "msp-psd") and a.sym != "spd":
+                    raise DomainError(f"{name} needs a symmetric PSD operator")
+                return run_solver(name, a, b, lam=lam, eps=eps, l=l, delta=delta, seed=seed,
+                                  tun=tun)
 
             for _ in range(max(warmup_runs, 0)):
                 run()

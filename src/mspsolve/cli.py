@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from .apps import hutchinson_trace
-from .bench import SOLVERS, run_compare, solve_plain_lanczos
+from .bench import SOLVERS, run_compare, run_solver
 from .config import DEFAULT, Tunables
 from .core import MatrixHandle, SpectrumSummary, effective_dimension
 from .errors import MspError
@@ -32,7 +32,6 @@ from .psd import PsdSolveConfig, solve_psd
 
 _GEN_KINDS = ("k-large-psd", "k-large-general", "hidden-rotation",
               "block-lowerbound", "rbf-kernel")
-_METHODS = ("msp-psd", "msp-general", "plain-lanczos", "dense-direct")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +76,7 @@ def _build_parser() -> _Parser:
 
     def _solver_flags(sp, method_default=None):
         if method_default is not None:
-            sp.add_argument("--method", choices=_METHODS, default=method_default)
+            sp.add_argument("--method", choices=SOLVERS, default=method_default)
         sp.add_argument("--eps", type=float, default=1e-8)
         sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
         sp.add_argument("--l", type=int, default=None, help="sketch rank")
@@ -130,19 +129,8 @@ def _run_method(method: str, a: MatrixHandle, b: np.ndarray, args, tun: Tunables
     n = a.cols
     l = args.l if args.l is not None else max(int(np.ceil(np.log2(max(n, 2)))) + 1, 8)
     l = min(l, max(n // 2, 2))
-    if method == "msp-psd":
-        cfg = PsdSolveConfig(l=l, lam=args.lam, eps=args.eps,
-                             delta=args.delta, seed=args.seed)
-        return solve_psd(a, b, cfg, tun=tun)
-    if method == "msp-general":
-        cfg = GeneralSolveConfig(l=l, lam=args.lam, eps=args.eps,
-                                 delta=args.delta, seed=args.seed)
-        return solve_normal(a, a.rmatvec(b), cfg, tun=tun)
-    if method == "plain-lanczos":
-        return solve_plain_lanczos(a, b, lam=args.lam, eps=args.eps, tun=tun)
-    from .bench import _dense_direct
-
-    return _dense_direct(a, b, args.lam)
+    return run_solver(method, a, b, lam=args.lam, eps=args.eps, l=l, delta=args.delta,
+                      seed=args.seed, tun=tun)
 
 
 def _cmd_gen(args, tun: Tunables) -> int:

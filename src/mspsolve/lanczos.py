@@ -133,12 +133,14 @@ def ritz_values(tri: TridiagonalMatrix) -> np.ndarray:
 class LanczosWorkspace:
     """Everything the iteration accumulated, enough to rebuild any iterate.
 
-    `iterate(i)` reforms x_i = z' * Q_bar[:, :i] T_i^{-1} e1 after the fact,
-    which is how per-iteration error curves are extracted in tests without
-    re-running the solver.
+    `basis` is the list of q-bar columns the loop built; `q_over` stacks it
+    on read.  `iterate(i)` reforms x_i = z' * Q_bar[:, :i] T_i^{-1} e1 after
+    the fact, which is how per-iteration error curves are extracted in tests
+    without re-running the solver.
     """
 
-    q_over: np.ndarray
+    basis: List[np.ndarray]
+    n: int
     z_prime: float
     tridiag: Optional[TridiagonalMatrix]
     status: str
@@ -147,30 +149,15 @@ class LanczosWorkspace:
     n_matvec: int
     checkpoints: List[Tuple[int, float]] = field(default_factory=list)
 
+    @property
+    def q_over(self) -> np.ndarray:
+        return np.column_stack(self.basis) if self.basis else np.zeros((self.n, 0))
+
     def iterate(self, i: int) -> np.ndarray:
         if self.tridiag is None or not (1 <= i <= self.tridiag.t):
             raise DomainError(f"no iterate {i} available")
         y = tridiag_solve_e1(self.tridiag.head(i), self.z_prime)
-        return self.q_over[:, :i] @ y
-
-
-def _final_iterate(
-    q_over: List[np.ndarray],
-    alphas: List[float],
-    betas: List[float],
-    z_prime: float,
-    fallback: Optional[np.ndarray],
-    n: int,
-) -> np.ndarray:
-    t = len(alphas)
-    if t == 0:
-        return fallback if fallback is not None else np.zeros(n)
-    tri = TridiagonalMatrix(np.array(alphas), np.array(betas[: t - 1]))
-    try:
-        y = tridiag_solve_e1(tri, z_prime)
-    except BreakdownError:
-        return fallback if fallback is not None else np.zeros(n)
-    return np.column_stack(q_over) @ y
+        return np.column_stack(self.basis[:i]) @ y
 
 
 def preconditioned_lanczos(
@@ -186,16 +173,19 @@ def preconditioned_lanczos(
 ) -> Tuple[np.ndarray, LanczosWorkspace]:
     """Run the left-preconditioned Lanczos iteration for A x = b.
 
-    solve_m(r) supplies (approximate) M^{-1} r.  Without residual_target the
-    full t_max budget runs.  With it, the LDL^T of T_i (one pivot d_i and
-    y_i = (L^{-1} e1)_i per step) gives the iterate's residual norm for free:
-    A Qbar_i = Q_i T_i + w_i e_i^T makes ||b - A x_i|| = z' |y_i/d_i| ||w_i||
-    (Saad, Iterative Methods for Sparse Linear Systems, 6.7).  On the step
-    that estimate meets the target, and at every multiple of check_every
-    (the longest gap between checks), x_i is formed and its true residual
-    computed; the loop exits once that is <= residual_target * ||b||.
+    solve_m(r) supplies (approximate) M^{-1} r.  Each step extends the
+    LDL^T of T_i by one pivot d_i and y_i = (L^{-1} e1)_i, and the iterate
+    x_i = z' Qbar_i T_i^{-1} e1 by the coupled (D-Lanczos) update
+    p_i = qbar_i - l_{i-1} p_{i-1}, x_i = x_{i-1} + z' (y_i/d_i) p_i with
+    l_{i-1} = beta_{i-1}/d_{i-1} (Saad, Iterative Methods for Sparse Linear
+    Systems, 6.7.1).  Without residual_target the full t_max budget runs.
+    With it, A Qbar_i = Q_i T_i + w_i e_i^T makes
+    ||b - A x_i|| = z' |y_i/d_i| ||w_i|| free; on the step that estimate
+    meets the target, and at every multiple of check_every (the longest gap
+    between checks), the true residual of x_i is computed, one product with
+    A, and the loop exits once that is <= residual_target * ||b||.
     retarget = (k, f) hands T_k to f on step k, which returns the run's new
-    (t_max, residual_target).  Returns the final iterate and the workspace
+    (t_max, residual_target).  Returns the last iterate and the workspace
     (basis, tridiagonal, status, counters).
 
     Statuses: "converged" (true residual target met, or the Krylov space
@@ -204,8 +194,10 @@ def preconditioned_lanczos(
     1%: stop_reason "accuracy-floor" if the estimate meets the target there,
     the recurrence-to-true residual gap being the float floor (Greenbaum
     1997), else "stagnation"), "breakdown" (an inner product that must be
-    nonnegative came out negative beyond tolerance; the best iterate so far
-    is returned).
+    nonnegative came out negative beyond tolerance, returning x_i; or
+    "zero-pivot", |d_i| <= breakdown_rtol*||u_i||*||qbar_i|| with T_i
+    numerically singular, returning x_{i-1}).  Neither can happen for PSD A
+    and M.
     """
     a_op = operator_of(a_apply)
     b = as_vector(b)
@@ -214,41 +206,35 @@ def preconditioned_lanczos(
         raise DomainError(f"iteration budget must be >= 1, got {t_max}")
     if check_every < 1:
         raise DomainError(f"check_every must be >= 1, got {check_every}")
-    solve = solve_m if callable(solve_m) else solve_m.apply
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         raise DomainError("right-hand side is zero")
 
     n_matvec = 0
+    x = np.zeros(n)
 
-    w_bar0 = as_vector(solve(b), n)
+    w_bar0 = as_vector(solve_m(b), n)
     ip0 = float(b @ w_bar0)
     tol0 = tun.breakdown_rtol * b_norm * float(np.linalg.norm(w_bar0))
     if ip0 <= tol0:
-        status = "breakdown"
         ws = LanczosWorkspace(
-            q_over=np.zeros((n, 0)),
-            z_prime=0.0,
-            tridiag=None,
-            status=status,
-            stop_reason="degenerate-start",
-            iterations=0,
-            n_matvec=n_matvec,
+            basis=[], n=n, z_prime=0.0, tridiag=None, status="breakdown",
+            stop_reason="degenerate-start", iterations=0, n_matvec=n_matvec,
         )
-        return np.zeros(n), ws
+        return x, ws
 
     z_prime = math.sqrt(ip0)
     q_bar = w_bar0 / z_prime
     q_under = b / z_prime
     q_under_prev = np.zeros(n)
     beta = 0.0
-    pivot, y_last = 0.0, 1.0  # d_i and y_i of the LDL^T of T_i
+    pivot, y_last = 1.0, 1.0  # d_i and y_i of the LDL^T of T_i; d_0 = 1 makes l_0 = 0
+    p = np.zeros(n)  # search direction p_i
 
     q_over_cols: List[np.ndarray] = []
     alphas: List[float] = []
     betas: List[float] = []
     checkpoints: List[Tuple[int, float]] = []
-    last_checkpoint_x: Optional[np.ndarray] = None
     flat_checks = 0  # consecutive checkpoints with < 1% residual improvement
 
     status = "budget-exhausted"
@@ -264,13 +250,20 @@ def preconditioned_lanczos(
             u = u - beta * q_under_prev
         alpha = float(u @ q_bar)
         alphas.append(alpha)
+        lower = beta / pivot
+        pivot = alpha - beta * lower
+        if abs(pivot) <= tun.breakdown_rtol * float(np.linalg.norm(u) * np.linalg.norm(q_bar)):
+            status = "breakdown"
+            stop_reason = "zero-pivot"
+            if trace:
+                trace({"i": i, "alpha": alpha, "beta": None, "resid": None})
+            break
         if i > 1:
-            lower = beta / pivot if pivot != 0.0 else math.inf
-            pivot, y_last = alpha - beta * lower, -lower * y_last
-        else:
-            pivot = alpha
+            y_last = -lower * y_last
+        p = q_bar - lower * p
+        x += (z_prime * y_last / pivot) * p
         w = u - alpha * q_under
-        w_bar = solve(w)
+        w_bar = solve_m(w)
         ip = float(w @ w_bar)
         w_norm = float(np.linalg.norm(w))
         tol_i = tun.breakdown_rtol * w_norm * float(np.linalg.norm(w_bar))
@@ -297,20 +290,17 @@ def preconditioned_lanczos(
             t_max, residual_target = retarget[1](tri)
             retarget = None
 
-        met = residual_target is not None and pivot != 0.0 and (
+        met = residual_target is not None and (
             z_prime * abs(y_last / pivot) * w_norm / b_norm <= residual_target
         )
         if residual_target is not None and (met or i % check_every == 0 or i >= t_max):
-            x_i = _final_iterate(q_over_cols, alphas, betas, z_prime, None, n)
-            resid = float(np.linalg.norm(b - a_op(x_i)))
+            relres = float(np.linalg.norm(b - a_op(x))) / b_norm
             n_matvec += 1
-            relres = resid / b_norm
             if checkpoints and relres > 0.99 * checkpoints[-1][1]:
                 flat_checks += 1
             else:
                 flat_checks = 0
             checkpoints.append((i, relres))
-            last_checkpoint_x = x_i
             if trace:
                 trace({"i": i, "alpha": alpha, "beta": beta_next, "resid": relres})
             if relres <= residual_target:
@@ -329,17 +319,12 @@ def preconditioned_lanczos(
         q_bar = w_bar / beta_next
         q_under = w / beta_next
 
-    x = _final_iterate(q_over_cols, alphas, betas, z_prime, last_checkpoint_x, n)
     t = len(alphas)
-    tri = (
-        TridiagonalMatrix(np.array(alphas), np.array(betas[: t - 1]))
-        if t
-        else None
-    )
     ws = LanczosWorkspace(
-        q_over=np.column_stack(q_over_cols) if q_over_cols else np.zeros((n, 0)),
+        basis=q_over_cols,
+        n=n,
         z_prime=z_prime,
-        tridiag=tri,
+        tridiag=TridiagonalMatrix(np.array(alphas), np.array(betas[: t - 1])),
         status=status,
         stop_reason=stop_reason,
         iterations=t,

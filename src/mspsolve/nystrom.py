@@ -142,10 +142,11 @@ def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
     The jitter climbs from jitter_initial to jitter_max times tr(W)/s, x10 per
     rung.  `then(w_j, jitter)` factors whatever must share the rung; its
     LinAlgError also moves to the next rung.  Returns (factor, w_j, jitter,
-    then's result).  Raises SketchRankCollapse naming `what` when no rung
-    works.  Only the message of a failed attempt is kept: holding the
-    exception would keep its traceback's frames, and their arrays, alive in a
-    reference cycle.
+    then's result); factor is None when `then` is given, whose callers need
+    W_j only, so it is freed before `then` allocates.  Raises
+    SketchRankCollapse naming `what` when no rung works.  Only the message of
+    a failed attempt is kept: holding the exception would keep its
+    traceback's frames, and their arrays, alive in a reference cycle.
     """
     s = w.shape[0]
     trace_w = float(np.trace(w))
@@ -157,7 +158,10 @@ def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
         w_j[np.diag_indices_from(w_j)] += jitter
         try:
             factor = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
-            extra = then(w_j, jitter) if then is not None else None
+            extra = None
+            if then is not None:
+                factor = None
+                extra = then(w_j, jitter)
         except scipy.linalg.LinAlgError as exc:
             reason = str(exc)
         else:
@@ -293,6 +297,7 @@ def build_nystrom_psd(
     c = c_handle.to_dense()
     w_raw = sketch_apply_left(emb, c_handle).to_dense()
     w = 0.5 * (w_raw + w_raw.T)
+    del w_raw
 
     if exact_tail_sum is not None:
         lambda0 = (2.0 / l) * max(float(exact_tail_sum), 0.0)
@@ -313,8 +318,11 @@ def build_nystrom_psd(
     pc = phi.apply(c)
 
     def factor_m2(w_j, jitter):
-        m2 = pc.T @ pc + lambda_tilde * w_j
-        return scipy.linalg.cho_factor(m2, lower=True, check_finite=False)
+        m2 = pc.T @ pc
+        m2 += lambda_tilde * w_j
+        # pc.T @ pc (syrk) and W_j are exactly symmetric, so M2's transpose is
+        # the Fortran-ordered array LAPACK factors in place, without a copy.
+        return scipy.linalg.cho_factor(m2.T, lower=True, overwrite_a=True, check_finite=False)
 
     _, w_j, jitter, inner = jittered_cholesky(w, tun, "W", then=factor_m2)
     pre = NystromPreconditioner(

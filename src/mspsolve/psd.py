@@ -160,7 +160,7 @@ def two_phase_lanczos(
     b: np.ndarray,
     solve_m,
     kappa0: float,
-    warmup_target: float,
+    warmup_target: Optional[float],
     main_target: Callable[[np.ndarray, float], tuple],
     eps: float,
     *,
@@ -170,8 +170,9 @@ def two_phase_lanczos(
 ) -> tuple:
     """One Lanczos run, budgeted from its own Ritz values: the scheme every solver shares.
 
-    Up to step Tunables.warmup_iters the run aims at warmup_target; easy
-    systems converge right there.  At that step its own T gives the Ritz
+    Up to step Tunables.warmup_iters the run aims at warmup_target (at none
+    when it is None, so only a clean break ends it early); easy systems
+    converge right there.  At that step its own T gives the Ritz
     values theta and kappa (inflated, kappa0 if they give none), which size
     t_max, the cap on the run's total steps, and main_target(theta, kappa)
     gives the residual target the run then continues to (and its

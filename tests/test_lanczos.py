@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,20 @@ def test_stop_step_does_not_depend_on_check_cadence():
     assert steps[0] == steps[1]
 
 
+def test_certificate_describes_returned_iterate():
+    # The run updates x every step, so the checked residual and the
+    # reconstructed iterate must both describe the x it returns.
+    vals = np.geomspace(1e3, 1.0, 200)
+    b = np.random.default_rng(14).standard_normal(200)
+    x, ws = preconditioned_lanczos(
+        lambda v: vals * v, b, identity_m, t_max=400, residual_target=1e-9, check_every=10
+    )
+    assert ws.stop_reason == "residual-target"
+    relres = float(np.linalg.norm(b - vals * x)) / float(np.linalg.norm(b))
+    assert relres == ws.checkpoints[-1][1]
+    assert np.linalg.norm(ws.iterate(ws.iterations) - x) <= 1e-12 * np.linalg.norm(x)
+
+
 def test_checkpoint_residuals_do_not_blow_up():
     n = 120
     vals = np.geomspace(1e3, 1.0, n)
@@ -313,6 +329,21 @@ def test_negative_preconditioner_breaks_down_at_start():
     assert ws.stop_reason == "degenerate-start"
     assert ws.iterations == 0
     assert np.array_equal(x, np.zeros(6))
+
+
+def test_zero_pivot_breaks_down_with_previous_iterate():
+    # alpha_1 = 0 makes T_1 singular (possible only for indefinite A); the run
+    # stops there and returns x_0 = 0 without dividing by the pivot.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x, ws = preconditioned_lanczos(
+            np.diag([1.0, -1.0]), np.ones(2), identity_m, t_max=10,
+            residual_target=1e-12, check_every=1,
+        )
+    assert ws.status == "breakdown"
+    assert ws.stop_reason == "zero-pivot"
+    assert ws.iterations == 1
+    assert np.array_equal(x, np.zeros(2))
 
 
 def test_workspace_reconstructs_iterates():
