@@ -316,12 +316,24 @@ def build_nystrom_psd(
 
     phi = make_ose(n, s, delta, tun.ose_epsilon, seed + _SEED_OSE, tun=tun)
     pc = phi.apply(c)
+    m2 = g_diag = None
 
     def factor_m2(w_j, jitter):
-        m2 = pc.T @ pc
-        m2 += lambda_tilde * w_j
         # pc.T @ pc (syrk) and W_j are exactly symmetric, so M2's transpose is
         # the Fortran-ordered array LAPACK factors in place, without a copy.
+        # potrf writes only M2's upper triangle and diagonal, so a later rung
+        # restores the upper triangle from the lower one, whose off-diagonal
+        # G + lt*W does not depend on the jitter, and resets the diagonal:
+        # G = (Phi C)^T (Phi C) is formed once per build.
+        nonlocal m2, g_diag
+        if m2 is None:
+            m2 = pc.T @ pc
+            g_diag = m2.diagonal().copy()
+            m2 += lambda_tilde * w_j
+        else:
+            for i in range(m2.shape[0] - 1):
+                m2[i, i + 1:] = m2[i + 1:, i]
+            np.fill_diagonal(m2, g_diag + lambda_tilde * w_j.diagonal())
         return scipy.linalg.cho_factor(m2.T, lower=True, overwrite_a=True, check_finite=False)
 
     _, w_j, jitter, inner = jittered_cholesky(w, tun, "W", then=factor_m2)

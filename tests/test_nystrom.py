@@ -19,12 +19,13 @@ from mspsolve.nystrom import (
     NystromPreconditioner,
     apply_minv_via_formula,
     build_nystrom_psd,
+    _SEED_OSE,
     cho_apply,
     estimate_lambda0,
     exact_minv_reference,
     tail_probe_factor,
 )
-from mspsolve.sketch import make_sparse_embedding
+from mspsolve.sketch import make_ose, make_sparse_embedding
 
 import oracles
 
@@ -275,6 +276,30 @@ def test_failed_jitter_rungs_leave_no_exception_alive():
     first_rung = DEFAULT.jitter_initial * np.trace(pre.W.to_dense()) / pre.s
     assert pre.jitter > 1.5 * first_rung
     assert alive == []
+
+
+def test_jitter_ladder_factors_m2_as_formed_at_the_chosen_rung():
+    # M2 fails Cholesky at the first rung here, so the ladder reuses the
+    # product (Phi C)^T (Phi C) that potrf partly overwrote.
+    k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
+    delta, seed = 0.01, 0
+    pre = build_nystrom_psd(k, 60, 1e-2, delta, seed)
+    w = pre.W.to_dense()
+    first_rung = DEFAULT.jitter_initial * np.trace(w) / pre.s
+    assert pre.jitter > 1.5 * first_rung
+    pc = make_ose(pre.n, pre.s, delta, DEFAULT.ose_epsilon, seed + _SEED_OSE).apply(
+        pre.C.to_dense()
+    )
+
+    def m2_at(jitter):
+        w_j = w.copy()
+        w_j[np.diag_indices_from(w_j)] += jitter
+        return pc.T @ pc + pre.lambda_tilde * w_j
+
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cho_factor(m2_at(first_rung), lower=True, check_finite=False)
+    want = scipy.linalg.cho_factor(m2_at(pre.jitter), lower=True, check_finite=False)[0]
+    assert pre.inner[0].tobytes() == want.tobytes()
 
 
 def test_exact_reference_size_guard():

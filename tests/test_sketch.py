@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mspsolve import (
     sketch_apply_left,
     sketch_apply_right,
 )
+from mspsolve import sketch
 from mspsolve.config import DEFAULT, ose_rows
 
 import oracles
@@ -55,6 +57,53 @@ def test_matches_documented_column_law():
     emb = make_sparse_embedding(7, 12, 3, seed=123)
     want = oracles.dense_embedding(123, 7, 12, 3)
     assert np.array_equal(emb.toarray(), want)
+
+
+def scalar_columns(seed, cols, s, gamma):
+    """rows, signs of `cols` drawn one generator per column."""
+    rows, signs = [], []
+    for col in cols:
+        rng = sketch._column_rng(seed, int(col))
+        rows.append(sketch._sample_without_replacement(rng, s, gamma))
+        signs.append(2.0 * rng.integers(0, 2, size=gamma) - 1.0)
+    return np.array(rows), np.array(signs)
+
+
+@pytest.mark.parametrize(
+    "draw, shape",
+    [
+        pytest.param(lambda: make_sparse_embedding(842, 3072, 8, seed=0), (842, 3072, 8),
+                     id="s842-n3072"),
+        pytest.param(lambda: make_ose(4000, 178, 0.01, DEFAULT.ose_epsilon, seed=1).embedding,
+                     (2922, 4000, 10), id="ose-n4000"),
+        pytest.param(lambda: make_sparse_embedding(6, 40, 6, seed=9), (6, 40, 6),
+                     id="gamma-eq-s"),
+    ],
+)
+def test_block_draw_equals_scalar_law(draw, shape):
+    emb = draw()
+    assert (emb.s, emb.n, emb.gamma) == shape
+    rows, signs = scalar_columns(emb.seed, range(emb.n), emb.s, emb.gamma)
+    assert emb.rows.tobytes() == rows.tobytes()
+    assert emb.signs.tobytes() == signs.tobytes()
+
+
+def test_rejected_draws_fall_back_to_scalar_law():
+    # At s = 3*2^30 a 32-bit draw bounded to [k, s) is rejected when the low
+    # word of u*(s-k) is below 2^32 mod (s-k) = 2^30 + k: about one draw in
+    # four, so most columns need the per-column generator.
+    s, gamma, cols = 3 * 2**30, 3, np.arange(64)
+    want_rows, want_signs = scalar_columns(4, cols, s, gamma)
+    rows, signs, redo = sketch._block_columns(4, cols, s, gamma)
+    assert 8 <= redo.sum() <= 56
+    keep = ~redo
+    assert np.array_equal(rows[keep], want_rows[keep])
+    assert np.array_equal(signs[keep], want_signs[keep])
+    assert not any(np.array_equal(rows[i], want_rows[i]) and
+                   np.array_equal(signs[i], want_signs[i]) for i in np.flatnonzero(redo))
+    rows, signs = sketch._draw_columns(4, cols, s, gamma)
+    assert rows.tobytes() == want_rows.tobytes()
+    assert signs.tobytes() == want_signs.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -119,6 +168,24 @@ def test_apply_right_sparse_operand():
     got = sketch_apply_right(MatrixHandle(sp.csr_matrix(dense)), emb).to_dense()
     want = dense @ emb.toarray().T
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_apply_right_symmetric_reads_a_in_place():
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((2000, 2000))
+    a = 0.5 * (g + g.T)
+    del g
+    emb = make_sparse_embedding(100, 2000, 4, seed=8)
+    want = np.ascontiguousarray((emb.matrix() @ a.T).T)
+    handle = MatrixHandle(a, sym="spd")
+    tracemalloc.start()
+    try:
+        got = sketch_apply_right(handle, emb).to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < a.nbytes / 4
 
 
 def test_apply_left_identity_materializes():
