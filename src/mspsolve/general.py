@@ -87,11 +87,15 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
 
     lambda0 targets (2/l) * sum_{i>l} sigma_i^2(A) = (2/l) * tr(A^T A - Nys_l),
     probed through a dedicated l-row sketch A_l = A S_l^T with the PSD
-    path's estimator.  A probe z gives (||A z||^2, A_l^T (A z)), one product
-    with A: both quadratic forms share the same z, so the per-probe variance
-    scales with the tail energy itself rather than with ||A^T A||_F^2, which
-    would drown the tail whenever the spectrum has large outliers.  The exact
-    ||A||_F^2 = tr(A^T A) anchors the floor and the sanity check.
+    path's estimator.  The probes Z give (||A z||^2, A_l^T (A z)) per probe z
+    from one block product A Z^T: both quadratic forms share the same z, so
+    the per-probe variance scales with the tail energy itself rather than
+    with ||A^T A||_F^2, which would drown the tail whenever the spectrum has
+    large outliers.  The exact ||A||_F^2 = tr(A^T A) anchors the floor and
+    the sanity check.
+
+    The build streams A five times (`build_passes`): A S^T, A^T A_tilde,
+    ||A||_F^2, A S_l^T and the probe block.
     """
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))
@@ -126,8 +130,8 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     l_chol = jittered_cholesky(w_l, tun, "probe Gram")[0]
 
     def probe(z):
-        az = a.matvec(z)
-        return float(az @ az), at_l.T @ az
+        az = a.matmat(z.T)
+        return np.einsum("ij,ij->j", az, az), at_l.T @ az
 
     lambda0 = lambda0_from_probes(probe, n, l_chol, l_eff, tun.lambda0_probes, cfg.seed,
                                   trace=frob_sq)
@@ -157,6 +161,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
         gamma=gamma,
         seed=cfg.seed,
         phi_rows=phi.phi,
+        build_passes=5,
         a=a,
         a_tilde=a_tilde,
         a_hat=MatrixHandle(np.asarray(a_hat)),

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT, Tunables, sketch_nnz_per_column, sketch_rows
-from .core import MatrixHandle, as_vector, operator_of
+from .core import MatrixHandle, as_vector
 from .errors import (
     DomainError,
     InconsistentEstimate,
@@ -66,6 +66,7 @@ class NystromPreconditioner:
     phi_rows: int
     kappa_hat: Optional[float] = None
     pm_norm: Optional[float] = None  # cached ||B|| estimate, B = A or A^T A
+    build_passes: int = 0  # passes over A the build made
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
     _exact_factor: Optional[tuple] = field(default=None, repr=False)
 
@@ -95,6 +96,7 @@ class NystromPreconditioner:
             "lambda_tilde": self.lambda_tilde,
             "jitter": self.jitter,
             "kappa_hat": self.kappa_hat,
+            "build_passes": self.build_passes,
         }
 
 
@@ -177,26 +179,25 @@ def lambda0_from_probes(probe, n: int, w_factor, l: int, probes: int, seed: int,
                         trace: Optional[float] = None) -> float:
     """(2/l) * (Hutchinson estimate of tr(B - B_nys)) from Rademacher probes.
 
-    probe(z) returns (z^T B z, C_l^T z) for the l-row sketch block C_l; each
-    probe contributes z^T B z - ||L^{-1} C_l^T z||^2, L the Cholesky factor of
-    the (jittered) W_l.  tr(B) anchors the floor 1e-12*tr(B), which keeps
-    lambda0 nonnegative, and the sanity check: a tail estimate below
-    -0.1*tr(B) means the factor is broken.  `trace` is the exact tr(B) when
-    known, else the probes' mean of z^T B z.
+    The probes are the rows of one (probes x n) draw Z, the same stream as
+    drawing them one at a time.  probe(Z) returns (z_p^T B z_p for every row
+    z_p, C_l^T Z^T) for the l-row sketch block C_l, so B is applied to all
+    probes in one block product.  Each probe contributes
+    z^T B z - ||L^{-1} C_l^T z||^2, L the Cholesky factor of the (jittered)
+    W_l.  tr(B) anchors the floor 1e-12*tr(B), which keeps lambda0
+    nonnegative, and the sanity check: a tail estimate below -0.1*tr(B)
+    means the factor is broken.  `trace` is the exact tr(B) when known, else
+    the probes' mean of z^T B z.
     """
     if probes < 1:
         raise DomainError(f"need at least one probe, got {probes}")
     rng = np.random.default_rng([seed & ((1 << 63) - 1), _SEED_PROBE])
-    tail_terms = np.empty(probes)
-    trace_terms = np.empty(probes)
-    for p in range(probes):
-        z = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        zbz, ctz = probe(z)
-        lz = scipy.linalg.solve_triangular(
-            w_factor[0], ctz, lower=w_factor[1], check_finite=False
-        )
-        trace_terms[p] = zbz
-        tail_terms[p] = zbz - float(lz @ lz)
+    z = 2.0 * rng.integers(0, 2, size=(probes, n)) - 1.0
+    trace_terms, ctz = probe(z)
+    lz = scipy.linalg.solve_triangular(
+        w_factor[0], ctz, lower=w_factor[1], check_finite=False
+    )
+    tail_terms = trace_terms - np.einsum("ij,ij->j", lz, lz)
     trace_hat = float(np.mean(trace_terms)) if trace is None else trace
     est = float(np.mean(tail_terms))
     if est < -0.1 * trace_hat:
@@ -219,13 +220,15 @@ def estimate_lambda0(
 
     The tail sum equals tr(A - A_nys) when the sketch captures the top-l
     range, so it is estimated by Hutchinson probing (lambda0_from_probes)
-    with z -> (z^T A z, C^T z), the trace anchored by the probes' mean.
+    with Z -> (z^T A z per probe, C^T Z^T), the trace anchored by the probes'
+    mean.  A Z^T is one block product; an operator-only A is applied to the
+    probes one at a time.
     """
-    a_apply = operator_of(a)
     c_mat = c.to_dense() if isinstance(c, MatrixHandle) else np.asarray(c)
 
     def probe(z):
-        return float(z @ a_apply(z)), c_mat.T @ z
+        az = _apply_to_columns(a, z.T)
+        return np.einsum("ij,ji->i", z, az), c_mat.T @ z.T
 
     return lambda0_from_probes(probe, c_mat.shape[0], w_factor, l, probes, seed)
 
@@ -270,6 +273,11 @@ def build_nystrom_psd(
     Cholesky, and prefactors the inner direct preconditioner
     M2 = (Phi C)^T (Phi C) + lt*W_j.
 
+    Every product with A is one block product, so the build streams a
+    handle's A three times (S A, S_l A and the probe block; once with
+    exact_tail_sum).  An operator-only A is applied once per column; the
+    count is kept as `build_passes`.
+
     Raises SketchRankCollapse if W cannot be factored even at the largest
     jitter — re-seeding is the caller's remedy.
     """
@@ -290,6 +298,10 @@ def build_nystrom_psd(
     gamma = min(gamma, s)
     emb = make_sparse_embedding(s, n, gamma, seed)
 
+    def passes(cols):
+        return 1 if isinstance(a, MatrixHandle) else cols
+
+    build_passes = passes(s)
     if isinstance(a, MatrixHandle):
         c_handle = sketch_apply_right(a, emb)
     else:
@@ -302,12 +314,10 @@ def build_nystrom_psd(
     if exact_tail_sum is not None:
         lambda0 = (2.0 / l) * max(float(exact_tail_sum), 0.0)
     else:
+        probes = probes if probes is not None else tun.lambda0_probes
         c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed, tun)
-        lambda0 = estimate_lambda0(
-            a, c_l, w_l_chol, l,
-            probes if probes is not None else tun.lambda0_probes,
-            seed,
-        )
+        lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, probes, seed)
+        build_passes += passes(l) + passes(probes)
     lambda_tilde = lam + lambda0
     if lambda_tilde <= 0.0:
         raise DomainError(
@@ -349,6 +359,7 @@ def build_nystrom_psd(
         gamma=gamma,
         seed=seed,
         phi_rows=phi.phi,
+        build_passes=build_passes,
     )
     pre._w_j = w_j
     return pre

@@ -235,7 +235,7 @@ def solve_level1(
     iterations; path_diagnostics(pre) adds the path's own diagnostics.
     matvecs counts the products with A this call made: level 1's steps and
     residual checks, the power method's when it ran, and one per lambda0
-    probe when this call built `pre`.
+    probe when this call built `pre` (the probes share one block product).
     """
     t_start = time.perf_counter()
     n = b.shape[0]
@@ -347,8 +347,9 @@ def solve_psd(
         return {
             "level2_solver": "cholesky" if pre.phi_rows == pre.n else "lanczos",
             "matvec_note": "matvecs counts the A applications this call made: level 1, "
-            "the power method when it ran, the lambda0 probes when it built the "
-            "preconditioner",
+            "the power method when it ran, and one per lambda0 probe when it built the "
+            "preconditioner, though the probes share one block product (the build's "
+            "passes over A are preconditioner.build_passes)",
         }
 
     return solve_level1(

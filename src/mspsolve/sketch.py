@@ -82,7 +82,7 @@ class SparseEmbedding:
     seed: int
     rows: np.ndarray = field(repr=False)  # (n, gamma) row indices per column
     signs: np.ndarray = field(repr=False)  # (n, gamma) in {-1, +1}
-    _csr: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
+    _csc: Optional[sp.csc_matrix] = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self):
@@ -93,16 +93,22 @@ class SparseEmbedding:
         """(seed, s, n, gamma) — enough to regenerate the structure exactly."""
         return (self.seed, self.s, self.n, self.gamma)
 
-    def matrix(self) -> sp.csr_matrix:
-        """Materialize S as scipy CSR (cached)."""
-        if self._csr is None:
+    def matrix(self) -> sp.csc_matrix:
+        """Materialize S as scipy CSC (cached), its columns as drawn.
+
+        S @ B for dense B then runs scipy's csc_matvecs, which reads each row
+        of B once and scatters it to the gamma rows of its column, where CSR
+        would gather every row of B gamma times.  For each output row the
+        terms are summed in the same (column) order as through CSR, so the
+        product is byte-identical to the CSR one.
+        """
+        if self._csc is None:
             data = (self.signs / math.sqrt(self.gamma)).ravel()
             indptr = np.arange(0, self.n * self.gamma + 1, self.gamma)
-            csc = sp.csc_matrix(
+            self._csc = sp.csc_matrix(
                 (data, self.rows.ravel(), indptr), shape=(self.s, self.n)
             )
-            self._csr = csc.tocsr()
-        return self._csr
+        return self._csc
 
     def toarray(self) -> np.ndarray:
         return self.matrix().toarray()
@@ -222,10 +228,12 @@ def _as_array_or_sparse(a: Union[MatrixHandle, np.ndarray]):
 
 
 def sketch_apply_right(a: Union[MatrixHandle, np.ndarray], s_emb: SparseEmbedding) -> MatrixHandle:
-    """A S^T for A (m x n): an m x s dense result in O(gamma * nnz(A)) time.
+    """A S^T for A (m x n): an m x s dense result in one pass over A.
 
-    A dense handle flagged "spd" is taken at its word, A^T = A, and sketched
-    as (S A)^T, which reads A in place instead of copying A^T into C order.
+    Dense A is sketched as (S A^T)^T with S in CSC, which reads each row of
+    A^T once rather than gamma times: O(gamma * nnz(A)) flops.  scipy first
+    copies a general A^T into C order; a dense handle flagged "spd" is taken
+    at its word, A^T = A, and sketched as (S A)^T, which reads A in place.
     """
     mat = _as_array_or_sparse(a)
     if mat.shape[1] != s_emb.n:
@@ -245,7 +253,7 @@ def sketch_apply_right(a: Union[MatrixHandle, np.ndarray], s_emb: SparseEmbeddin
 
 
 def sketch_apply_left(s_emb: SparseEmbedding, b: Union[MatrixHandle, np.ndarray]) -> MatrixHandle:
-    """S B for B (n x k): an s x k dense result in O(gamma * nnz(B)) time."""
+    """S B for B (n x k): an s x k dense result in one pass over B."""
     mat = _as_array_or_sparse(b)
     if mat.ndim != 2 or mat.shape[0] != s_emb.n:
         raise DimensionMismatch(

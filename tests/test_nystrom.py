@@ -14,18 +14,22 @@ from mspsolve.errors import (
     SizeGuardError,
     SketchRankCollapse,
 )
+from mspsolve.general import GeneralSolveConfig, build_general
 from mspsolve.instances import InstanceSpec, gen_instance
 from mspsolve.nystrom import (
     NystromPreconditioner,
     apply_minv_via_formula,
     build_nystrom_psd,
+    _SEED_EST,
     _SEED_OSE,
+    _SEED_PROBE,
     cho_apply,
     estimate_lambda0,
     exact_minv_reference,
+    jittered_cholesky,
     tail_probe_factor,
 )
-from mspsolve.sketch import make_ose, make_sparse_embedding
+from mspsolve.sketch import make_ose, make_sparse_embedding, sketch_apply_right
 
 import oracles
 
@@ -137,6 +141,8 @@ def test_estimate_requires_probes():
     w_chol = scipy.linalg.cho_factor(np.eye(2), lower=True)
     with pytest.raises(DomainError):
         estimate_lambda0(np.eye(4), c, w_chol, 2, 0, 0)
+    with pytest.raises(DomainError):
+        build_nystrom_psd(np.eye(64), 8, 1.0, 0.01, 0, probes=0)
 
 
 def test_estimate_detects_broken_factor():
@@ -148,6 +154,101 @@ def test_estimate_detects_broken_factor():
     w_chol = scipy.linalg.cho_factor(1e-6 * np.eye(8), lower=True)
     with pytest.raises(InconsistentEstimate):
         estimate_lambda0(np.eye(n), c, w_chol, 8, 10, 0)
+
+
+def per_probe_lambda0(probe, n, w_factor, l, probes, seed, trace=None):
+    """The lambda0 estimator with one product per probe, as a reference."""
+    rng = np.random.default_rng([seed & ((1 << 63) - 1), _SEED_PROBE])
+    trace_terms, tail_terms = [], []
+    for _ in range(probes):
+        z = 2.0 * rng.integers(0, 2, size=n) - 1.0
+        zbz, ctz = probe(z)
+        lz = scipy.linalg.solve_triangular(w_factor[0], ctz, lower=w_factor[1])
+        trace_terms.append(zbz)
+        tail_terms.append(zbz - lz @ lz)
+    trace_hat = np.mean(trace_terms) if trace is None else trace
+    return (2.0 / l) * max(np.mean(tail_terms), 1e-12 * trace_hat)
+
+
+def test_block_lambda0_matches_per_probe_loop_on_a_handle():
+    n, l, seed = 300, 20, 3
+    a, _ = random_psd(n, seed=5)
+    c_l, w_chol = tail_probe_factor(MatrixHandle(a, sym="spd"), l, n, 4, seed, DEFAULT)
+    got = estimate_lambda0(MatrixHandle(a, sym="spd"), c_l, w_chol, l, 20, seed)
+    want = per_probe_lambda0(lambda z: (z @ (a @ z), c_l.T @ z), n, w_chol, l, 20, seed)
+    assert got > 1e-6 * np.trace(a)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_block_lambda0_matches_per_probe_loop_on_an_operator():
+    n, l, seed = 300, 20, 3
+    a, _ = random_psd(n, seed=6)
+    calls = []
+
+    def op(v):
+        calls.append(v.shape)
+        return a @ v
+
+    pre = build_nystrom_psd(op, l, 0.1, 0.01, seed, n=n)
+    assert set(calls) == {(n,)}
+    assert len(calls) == pre.s + l + DEFAULT.lambda0_probes
+    assert pre.diagnostics()["build_passes"] == len(calls)
+    c_l, w_chol = tail_probe_factor(op, l, n, pre.gamma, seed, DEFAULT)
+    want = per_probe_lambda0(lambda z: (z @ (a @ z), c_l.T @ z), n, w_chol, l,
+                             DEFAULT.lambda0_probes, seed)
+    assert pre.lambda0 == pytest.approx(want, rel=1e-12)
+
+
+def test_block_lambda0_matches_per_probe_loop_on_the_general_path():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((400, 120)) * np.logspace(1, -1, 120)
+    cfg = GeneralSolveConfig(l=12, lam=0.5, seed=4)
+    state = build_general(a, cfg)
+    emb_l = make_sparse_embedding(state.l, 120, min(state.gamma, state.l), cfg.seed + _SEED_EST)
+    at_l = sketch_apply_right(MatrixHandle(a), emb_l).to_dense()
+    w_l = at_l.T @ at_l
+    w_chol = jittered_cholesky(0.5 * (w_l + w_l.T), DEFAULT, "W_l")[0]
+
+    def probe(z):
+        az = a @ z
+        return az @ az, at_l.T @ az
+
+    want = per_probe_lambda0(probe, 120, w_chol, state.l, DEFAULT.lambda0_probes, cfg.seed,
+                             trace=np.sum(a**2))
+    assert state.lambda0 == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_block_probe_draw_is_the_sequential_stream(n):
+    block = np.random.default_rng([11, _SEED_PROBE]).integers(0, 2, size=(20, n))
+    rng = np.random.default_rng([11, _SEED_PROBE])
+    rows = [rng.integers(0, 2, size=n) for _ in range(20)]
+    assert np.array_equal(block, np.array(rows))
+
+
+@pytest.mark.parametrize("path", ["psd", "general"])
+def test_build_applies_a_to_the_probes_in_one_block(monkeypatch, path):
+    rng = np.random.default_rng(8)
+    if path == "psd":
+        a, _ = random_psd(300, seed=9)
+        handle = MatrixHandle(a, sym="spd")
+    else:
+        handle = MatrixHandle(rng.standard_normal((400, 120)))
+    calls = {"matvec": 0, "matmat": 0}
+    for name in calls:
+        def counting(self, x, _name=name, _original=getattr(MatrixHandle, name)):
+            calls[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(MatrixHandle, name, counting)
+    if path == "psd":
+        pre = build_nystrom_psd(handle, 20, 0.1, 0.01, 3)
+        passes = 3  # S A, S_l A, the probe block
+    else:
+        pre = build_general(handle, GeneralSolveConfig(l=12, lam=0.5, seed=4))
+        passes = 5  # A S^T, A^T A_tilde, ||A||_F^2, A S_l^T, the probe block
+    assert calls == {"matvec": 0, "matmat": 1}
+    assert pre.diagnostics()["build_passes"] == passes
 
 
 # -- inversion formula vs dense oracle -------------------------------------------
@@ -334,6 +435,7 @@ def test_diagnostics_fragment_is_json_ready():
         "lambda_tilde",
         "jitter",
         "kappa_hat",
+        "build_passes",
     }
     json.dumps(d)
 

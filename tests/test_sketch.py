@@ -188,6 +188,38 @@ def test_apply_right_symmetric_reads_a_in_place():
     assert peak < a.nbytes / 4
 
 
+@pytest.mark.parametrize("s", [64, 300])
+@pytest.mark.parametrize("kind", ["spd", "general", "csr"])
+def test_csc_embedding_products_equal_csr_products(kind, s):
+    # The CSC embedding reads each row of A once; its products must be the
+    # CSR embedding's, byte for byte.
+    n = 900
+    rng = np.random.default_rng(31)
+    if kind == "spd":
+        g = rng.standard_normal((n, n))
+        a = MatrixHandle(0.5 * (g + g.T), sym="spd")
+    elif kind == "general":
+        a = MatrixHandle(rng.standard_normal((700, n)))
+    else:
+        a = MatrixHandle(sp.random(700, n, density=0.05, random_state=32, format="csr"))
+    emb = make_sparse_embedding(s, n, 8, seed=9)
+    assert emb.matrix().format == "csc"
+    s_csr = emb.matrix().tocsr()
+    raw = a.raw()
+    if kind == "csr":
+        want_right = np.asarray((raw @ s_csr.T).todense())
+        b = raw.T.tocsr()
+        want_left = np.asarray((s_csr @ b).todense())
+    else:
+        want_right = np.ascontiguousarray((s_csr @ raw.T).T)
+        b = raw.T
+        want_left = s_csr @ b
+    assert np.array_equal(sketch_apply_right(a, emb).to_dense(), want_right)
+    assert np.array_equal(sketch_apply_left(emb, b).to_dense(), want_left)
+    ose = sketch.OseSketch(phi=s, n=n, epsilon=0.5, embedding=emb)
+    assert np.array_equal(ose.apply(b), want_left)
+
+
 def test_apply_left_identity_materializes():
     emb = make_sparse_embedding(4, 6, 2, seed=6)
     out = sketch_apply_left(emb, np.eye(6))
