@@ -136,7 +136,6 @@ def solve_krr(
     delta: float = 0.01,
     seed: int = 0,
     *,
-    d_lambda_exact: Optional[float] = None,
     tun: Tunables = DEFAULT,
 ) -> SolveReport:
     """Kernel ridge regression solve (K + lam*I) alpha = y.
@@ -144,7 +143,6 @@ def solve_krr(
     Estimates the effective dimension, sets the sketch rank l ~ 2*d_lambda,
     and runs the PSD solver; a dense direct solve takes over when the
     effective dimension is too large for sketching to pay (d_hat > n/4).
-    `d_lambda_exact` bypasses the estimate (oracle mode for tests).
     """
     t_start = time.perf_counter()
     if lam <= 0.0:
@@ -154,10 +152,7 @@ def solve_krr(
     y = as_vector(y, k.rows)
     n = k.rows
 
-    if d_lambda_exact is not None:
-        d_hat, retries = float(d_lambda_exact), 0
-    else:
-        d_hat, retries = _estimate_effective_dim(k, lam, delta, seed, tun)
+    d_hat, retries = _estimate_effective_dim(k, lam, delta, seed, tun)
 
     if d_hat > n / 4.0:
         reg = MatrixHandle(k.to_dense() + lam * np.eye(n), sym="spd")

@@ -135,8 +135,6 @@ class MatrixHandle:
     def rmatvec(self, x) -> Array:
         """Transpose product A^T x."""
         x = as_vector(x, self.rows)
-        if self.kind == "csr":
-            return np.asarray(self._data.T @ x)
         return np.asarray(self._data.T @ x)
 
     def matmat(self, b: Array) -> Array:

@@ -35,8 +35,8 @@ from .errors import (
 )
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_left, sketch_apply_right
 
-# Seed offsets: the sparse embedding consumes (seed, column) keys directly,
-# so sibling randomness gets distinct additive offsets.
+# Seed offsets: the sparse embedding draws from default_rng(seed), so sibling
+# randomness gets distinct additive offsets.
 _SEED_OSE = 1
 _SEED_PROBE = 2
 _SEED_EST = 5

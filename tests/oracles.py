@@ -3,9 +3,7 @@
 Everything here is written the slow, obvious way -- scalar loops, explicit
 materialization, textbook recurrences, dense factorizations -- so that
 agreement with the library is evidence rather than tautology.  This module
-does not import anything from mspsolve: where a reproducible random structure
-must be compared (the sparse embedding), its documented column law is
-re-derived from scratch.
+does not import anything from mspsolve.
 """
 
 import math
@@ -63,29 +61,6 @@ def gauss_solve(a, b):
     for k in range(n - 1, -1, -1):
         x[k] = (x[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
     return x
-
-
-def dense_embedding(seed, s, n, gamma):
-    """Materialize the sparse sign embedding from its documented column law.
-
-    Per column j: a generator keyed (seed mod 2^64, j) on the Philox counter
-    stream draws gamma distinct rows as the first gamma entries of a
-    Fisher-Yates shuffle of range(s) (one integers(k, s) draw per step), then
-    gamma signs from the same stream; nonzero values are +/- 1/sqrt(gamma).
-    """
-    out = np.zeros((s, n))
-    for col in range(n):
-        key = np.array([seed & ((1 << 64) - 1), col], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        arr = list(range(s))
-        for k in range(gamma):
-            j = int(rng.integers(k, s))
-            arr[k], arr[j] = arr[j], arr[k]
-        rows = arr[:gamma]
-        signs = 2.0 * rng.integers(0, 2, size=gamma) - 1.0
-        for r, sign in zip(rows, signs):
-            out[r, col] = sign / math.sqrt(gamma)
-    return out
 
 
 def plain_lanczos_textbook(a, b, tol=1e-10, t_max=None):

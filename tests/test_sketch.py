@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -18,8 +19,6 @@ from mspsolve import (
 )
 from mspsolve import sketch
 from mspsolve.config import DEFAULT, ose_rows
-
-import oracles
 
 
 # -- construction -------------------------------------------------------------
@@ -52,58 +51,21 @@ def test_gamma_larger_than_s_rejected():
         make_sparse_embedding(2, 5, 3, seed=0)
 
 
-def test_matches_documented_column_law():
-    """The embedding must equal an independent rebuild from its column law."""
-    emb = make_sparse_embedding(7, 12, 3, seed=123)
-    want = oracles.dense_embedding(123, 7, 12, 3)
-    assert np.array_equal(emb.toarray(), want)
-
-
-def scalar_columns(seed, cols, s, gamma):
-    """rows, signs of `cols` drawn one generator per column."""
-    rows, signs = [], []
-    for col in cols:
-        rng = sketch._column_rng(seed, int(col))
-        rows.append(sketch._sample_without_replacement(rng, s, gamma))
-        signs.append(2.0 * rng.integers(0, 2, size=gamma) - 1.0)
-    return np.array(rows), np.array(signs)
-
-
-@pytest.mark.parametrize(
-    "draw, shape",
-    [
-        pytest.param(lambda: make_sparse_embedding(842, 3072, 8, seed=0), (842, 3072, 8),
-                     id="s842-n3072"),
-        pytest.param(lambda: make_ose(4000, 178, 0.01, DEFAULT.ose_epsilon, seed=1).embedding,
-                     (2922, 4000, 10), id="ose-n4000"),
-        pytest.param(lambda: make_sparse_embedding(6, 40, 6, seed=9), (6, 40, 6),
-                     id="gamma-eq-s"),
-    ],
-)
-def test_block_draw_equals_scalar_law(draw, shape):
-    emb = draw()
-    assert (emb.s, emb.n, emb.gamma) == shape
-    rows, signs = scalar_columns(emb.seed, range(emb.n), emb.s, emb.gamma)
-    assert emb.rows.tobytes() == rows.tobytes()
-    assert emb.signs.tobytes() == signs.tobytes()
-
-
-def test_rejected_draws_fall_back_to_scalar_law():
-    # At s = 3*2^30 a 32-bit draw bounded to [k, s) is rejected when the low
-    # word of u*(s-k) is below 2^32 mod (s-k) = 2^30 + k: about one draw in
-    # four, so most columns need the per-column generator.
-    s, gamma, cols = 3 * 2**30, 3, np.arange(64)
-    want_rows, want_signs = scalar_columns(4, cols, s, gamma)
-    rows, signs, redo = sketch._block_columns(4, cols, s, gamma)
-    assert 8 <= redo.sum() <= 56
-    keep = ~redo
-    assert np.array_equal(rows[keep], want_rows[keep])
-    assert np.array_equal(signs[keep], want_signs[keep])
-    assert not any(np.array_equal(rows[i], want_rows[i]) and
-                   np.array_equal(signs[i], want_signs[i]) for i in np.flatnonzero(redo))
-    rows, signs = sketch._draw_columns(4, cols, s, gamma)
-    assert rows.tobytes() == want_rows.tobytes()
-    assert signs.tobytes() == want_signs.tobytes()
+def test_rows_are_uniform_subsets():
+    # s = 6, gamma = 3: each of the C(6, 3) = 20 row subsets has
+    # probability 1/20, so 3000 of 60000 columns (sd ~53; 10 % is ~5.6 sd).
+    # Each row holds 30000 nonzeros, half of them positive (sd ~87; 5 % of
+    # 15000 is ~8.7 sd).
+    emb = make_sparse_embedding(6, 60_000, 3, seed=5)
+    dense = emb.toarray()
+    codes = ((dense != 0.0) * (1 << np.arange(6))[:, None]).sum(axis=0)
+    counts = np.bincount(codes, minlength=64)
+    subsets = [sum(1 << r for r in c) for c in itertools.combinations(range(6), 3)]
+    assert counts.sum() == counts[subsets].sum() == 60_000
+    assert np.all(np.abs(counts[subsets] - 3000) <= 300)
+    positive = (dense > 0.0).sum(axis=1)
+    nonzero = (dense != 0.0).sum(axis=1)
+    assert np.all(np.abs(positive / nonzero - 0.5) <= 0.025)
 
 
 @settings(max_examples=30, deadline=None)
@@ -146,7 +108,7 @@ def test_apply_right_matches_materialization():
     a = rng.standard_normal((6, 8))
     emb = make_sparse_embedding(3, 8, 2, seed=11)
     got = sketch_apply_right(MatrixHandle(a), emb).to_dense()
-    want = a @ oracles.dense_embedding(11, 3, 8, 2).T
+    want = a @ emb.toarray().T
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -237,7 +199,7 @@ def test_apply_left_matches_materialization():
     b = rng.standard_normal((10, 4))
     emb = make_sparse_embedding(5, 10, 3, seed=12)
     got = sketch_apply_left(emb, b).to_dense()
-    want = oracles.dense_embedding(12, 5, 10, 3) @ b
+    want = emb.toarray() @ b
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
