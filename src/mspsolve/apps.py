@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 import scipy.spatial.distance
 
-from .config import DEFAULT, Tunables, ose_rows
+from .config import DEFAULT, Tunables
 from .core import MatrixHandle, as_vector, dense_factor_solve, operator_of
 from .errors import DomainError
 from .general import GeneralMspState, GeneralSolveConfig, build_general, solve_normal
@@ -167,8 +167,7 @@ def solve_krr(
             diagnostics={"d_lambda_estimate": d_hat, "bootstrap_retries": retries},
         )
 
-    lo = int(math.ceil(math.log2(max(n, 2)))) + 1
-    l = int(min(max(math.ceil(2.0 * d_hat), lo), max(n // 2, lo)))
+    l = clamp_rank(min(math.ceil(2.0 * d_hat), n // 2), n)[0]
     cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
     report = solve_psd(k, y, cfg, tun=tun)
     report.method = "krr"
@@ -244,8 +243,7 @@ def solve_least_squares(
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must be in (0,1), got {eps}")
 
-    l_eff = l if l is not None else max(int(math.ceil(math.log2(max(n, 2)))) + 1, n // 8)
-    l_eff, _ = clamp_rank(l_eff, n)
+    l_eff, _ = clamp_rank(l if l is not None else n // 8, n)
     g0 = a.rmatvec(b)
     g0_norm = float(np.linalg.norm(g0))
     if g0_norm == 0.0:

@@ -22,7 +22,8 @@ class Tunables:
     # nonzeros per column: clamp(ceil(ln(max(l/delta, e))), gamma_min, gamma_max)
     gamma_min: int = 2
     gamma_max: int = 8
-    # subspace-embedding sizing: phi = min(n, ceil(ose_c_phi * (d + ln(1/delta)) / eps^2))
+    # subspace-embedding sizing: phi = min(n, ceil(ose_c_phi * (d + ln(1/delta)) / eps^2));
+    # sizes the general path's Phi and the least-squares row sketch
     ose_c_phi: float = 4.0
     ose_epsilon: float = 0.5
     # outer Lanczos budget multiplier: t_max = ceil(t_factor * sqrt(k) * ln(k/eps))

@@ -6,8 +6,8 @@ W = A_tilde^T A_tilde, with A_tilde = A S^T (m x s); GeneralMspState is that
 NystromPreconditioner plus A and the level-3 factors.  lambda0 comes from
 the same Hutchinson estimator, and level 1 is the same driver
 (psd.solve_level1), at two products with A per apply of B.  The build forms
-C and W once, so levels 2 and 3 make no product with A.  Only the way level
-2 is preconditioned differs from the PSD path:
+C and W once, so levels 2 and 3 make no product with A.  Only level 2
+differs from the PSD path, where it is one direct solve:
 
   level 1  Lanczos on A^T A + lam*I, preconditioned by M via the inversion
            formula (SolveM1);
@@ -41,7 +41,7 @@ from .errors import DomainError
 from .lanczos import preconditioned_lanczos
 from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
                       cho_apply, jittered_cholesky, lambda0_from_probes)
-from .psd import PsdSolveConfig, clamp_rank, gram_inner, inner_lanczos, solve_level1, solve_psd
+from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1, solve_psd
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
 
@@ -56,10 +56,12 @@ class GeneralMspState(NystromPreconditioner):
 
     C = A^T A_tilde and W = A_tilde^T A_tilde with A_tilde = A S^T.  `inner`
     is None: level 2 is preconditioned by M2 = W_j^2 + lt*W_j through level 3,
-    whose prefactored sketch Grams are m3a_factor and m3b_factor.
+    whose prefactored sketch Grams are m3a_factor and m3b_factor, both formed
+    from A_hat = Phi A_tilde with the phi_rows-row subspace embedding Phi.
     """
 
     a: MatrixHandle
+    phi_rows: int
     a_tilde: MatrixHandle
     a_hat: MatrixHandle
     m3a_factor: tuple
@@ -160,9 +162,9 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
         l=l_eff,
         gamma=gamma,
         seed=cfg.seed,
-        phi_rows=phi.phi,
         build_passes=5,
         a=a,
+        phi_rows=phi.phi,
         a_tilde=a_tilde,
         a_hat=MatrixHandle(np.asarray(a_hat)),
         m3a_factor=m3a_factor,
@@ -170,6 +172,38 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     )
     state._w_j = w_j
     return state
+
+
+def inner_lanczos(op, rhs, solve_m, t_max, tol, counters, level, tun) -> np.ndarray:
+    """One inner-level Krylov run to relative residual tol, tallied under `level`.
+
+    A zero rhs returns zeros and counts no run.
+    """
+    if float(np.linalg.norm(rhs)) == 0.0:
+        return np.zeros(rhs.shape[0])
+    y, ws = preconditioned_lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol,
+                                   check_every=tun.check_every, tun=tun)
+    _tally(counters, level, ws.iterations, ws.status == "budget-exhausted")
+    return y
+
+
+def gram_inner(pre, m2_solve, t_max, counters, tun) -> Callable:
+    """Level 2 for apply_minv_via_formula: (rhs, tol) -> y, Lanczos on the Gram system.
+
+    The operator y -> C^T(C y) + lt*(W_j y) is two dense GEMVs on the stored
+    C and W_j; m2_solve preconditions it.
+    """
+    c = pre.C.to_dense()
+    w_j = pre.w_jittered()
+    lt = pre.lambda_tilde
+
+    def g_op(y):
+        return c.T @ (c @ y) + lt * (w_j @ y)
+
+    def inner(rhs, tol):
+        return inner_lanczos(g_op, rhs, m2_solve, t_max, tol, counters, "level2", tun)
+
+    return inner
 
 
 def solve_m2(
@@ -195,10 +229,9 @@ def solve_m2(
     def w_shift_op(y):
         return w_j @ y + lt * y
 
-    u = inner_lanczos(preconditioned_lanczos, w_op, r, cho_apply(state.m3a_factor), t3, eps2,
-                      counters, "level3a", tun)
-    v = inner_lanczos(preconditioned_lanczos, w_shift_op, r, cho_apply(state.m3b_factor), t3,
-                      eps2, counters, "level3b", tun)
+    u = inner_lanczos(w_op, r, cho_apply(state.m3a_factor), t3, eps2, counters, "level3a", tun)
+    v = inner_lanczos(w_shift_op, r, cho_apply(state.m3b_factor), t3, eps2, counters, "level3b",
+                      tun)
     return (u - v) / lt
 
 
@@ -212,13 +245,13 @@ def solve_m1_general(
     """Approximate M^{-1} r through the inversion formula on the stored C.
 
     Level-2 system: (C^T C + lt*W_j) y = C^T r, Lanczos on the operator
-    y -> C^T(C y) + lt*(W_j y) (psd.gram_inner) preconditioned by SolveM2;
+    y -> C^T(C y) + lt*(W_j y) (gram_inner) preconditioned by SolveM2;
     then w = (r - C y) / lt.  No product with A is made.
     """
     def m2_solve(rr):
         return solve_m2(state, rr, budgets, counters, tun)
 
-    inner = gram_inner(preconditioned_lanczos, state, m2_solve, budgets["t2"], counters, tun)
+    inner = gram_inner(state, m2_solve, budgets["t2"], counters, tun)
     return apply_minv_via_formula(state, r, inner, budgets["eps1"])
 
 
@@ -252,10 +285,15 @@ def solve_normal(
     def gram_op(x):
         return a.rmatvec(a.matvec(x))
 
-    def level2_for(state, eps0, eps1, t2, kappa_mat):
+    def level2_for(state, kappa_mat):
+        # Inner targets cascade from kappa_mat: eps0 for SolveM1, eps1 for
+        # level 2 (budget t2), eps2 for level 3 (budget t3).
+        eps0 = max(tun.eps_floor, cfg.eps / (kappa_mat * a.cols))
+        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
         eps2 = max(tun.eps_floor, eps0 / (4.0 * kappa_mat * cfg.l))
         budgets = {
-            "t2": t2,
+            "t2": int(math.ceil(tun.inner_budget_factor
+                                * math.log(max(kappa_mat / eps1, math.e)))),
             "t3": int(math.ceil(tun.inner_budget_factor
                                 * math.log(max(9.0 * cfg.l / eps2, math.e)))),
             "eps1": eps1, "eps2": eps2, "eps0": eps0,

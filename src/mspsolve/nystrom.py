@@ -13,7 +13,8 @@ is unavailable.
 W is symmetrized and carries a small diagonal jitter chosen once at build
 time; the jittered W is then used consistently in every formula above, so the
 inversion identity remains exact for the (jittered) preconditioner actually
-applied.
+applied.  The PSD build prefactors the s x s Gram matrix C^T C + lt*W_j of
+the formula, so applying M^{-1} takes one direct solve.
 """
 
 from __future__ import annotations
@@ -33,10 +34,13 @@ from .errors import (
     SizeGuardError,
     SketchRankCollapse,
 )
-from .sketch import make_ose, make_sparse_embedding, sketch_apply_left, sketch_apply_right
+# make_ose is unused here, but tracers rebind it by this name.
+from .sketch import make_ose  # noqa: F401
+from .sketch import make_sparse_embedding, sketch_apply_left, sketch_apply_right
 
 # Seed offsets: the sparse embedding draws from default_rng(seed), so sibling
-# randomness gets distinct additive offsets.
+# randomness gets distinct additive offsets.  _SEED_OSE seeds the general
+# path's subspace embedding Phi.
 _SEED_OSE = 1
 _SEED_PROBE = 2
 _SEED_EST = 5
@@ -47,10 +51,10 @@ class NystromPreconditioner:
     """C = A S^T, W = S A S^T and the prefactored inner system.
 
     `jitter` is the absolute diagonal shift applied to W everywhere it is
-    used.  `inner` holds the Cholesky factor of M2 = (Phi C)^T (Phi C) + lt*W_j,
-    the direct preconditioner for the level-2 system (C^T C + lt*W_j) y = C^T r.
-    The normal-equations path builds the same object for A^T A
-    (general.GeneralMspState), where `inner` is None.
+    used.  `inner` holds the Cholesky factor of M2 = C^T C + lt*W_j, the
+    matrix of the level-2 system M2 y = C^T r.  The normal-equations path
+    builds the same object for A^T A (general.GeneralMspState), where `inner`
+    is None.
     """
 
     C: MatrixHandle
@@ -63,7 +67,6 @@ class NystromPreconditioner:
     l: int
     gamma: int
     seed: int
-    phi_rows: int
     kappa_hat: Optional[float] = None
     pm_norm: Optional[float] = None  # cached ||B|| estimate, B = A or A^T A
     build_passes: int = 0  # passes over A the build made
@@ -91,7 +94,6 @@ class NystromPreconditioner:
             "s": self.s,
             "gamma": self.gamma,
             "l": self.l,
-            "phi_rows": self.phi_rows,
             "lambda0": self.lambda0,
             "lambda_tilde": self.lambda_tilde,
             "jitter": self.jitter,
@@ -270,8 +272,7 @@ def build_nystrom_psd(
     W = S C (symmetrized), estimates lambda0 from a separate l-row probe
     sketch (or uses (2/l)*exact_tail_sum when the exact tail is supplied,
     e.g. in oracle-mode tests), picks the smallest jitter that makes W pass
-    Cholesky, and prefactors the inner direct preconditioner
-    M2 = (Phi C)^T (Phi C) + lt*W_j.
+    Cholesky, and prefactors the level-2 matrix M2 = C^T C + lt*W_j.
 
     Every product with A is one block product, so the build streams a
     handle's A three times (S A, S_l A and the probe block; once with
@@ -324,20 +325,18 @@ def build_nystrom_psd(
             "lambda + lambda0 must be positive; the matrix appears to be zero"
         )
 
-    phi = make_ose(n, s, delta, tun.ose_epsilon, seed + _SEED_OSE, tun=tun)
-    pc = phi.apply(c)
     m2 = g_diag = None
 
     def factor_m2(w_j, jitter):
-        # pc.T @ pc (syrk) and W_j are exactly symmetric, so M2's transpose is
+        # c.T @ c (syrk) and W_j are exactly symmetric, so M2's transpose is
         # the Fortran-ordered array LAPACK factors in place, without a copy.
         # potrf writes only M2's upper triangle and diagonal, so a later rung
         # restores the upper triangle from the lower one, whose off-diagonal
         # G + lt*W does not depend on the jitter, and resets the diagonal:
-        # G = (Phi C)^T (Phi C) is formed once per build.
+        # G = C^T C is formed once per build.
         nonlocal m2, g_diag
         if m2 is None:
-            m2 = pc.T @ pc
+            m2 = c.T @ c
             g_diag = m2.diagonal().copy()
             m2 += lambda_tilde * w_j
         else:
@@ -358,7 +357,6 @@ def build_nystrom_psd(
         l=l,
         gamma=gamma,
         seed=seed,
-        phi_rows=phi.phi,
         build_passes=build_passes,
     )
     pre._w_j = w_j

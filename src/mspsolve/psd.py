@@ -3,17 +3,15 @@
 Level 1 is preconditioned Lanczos on the original system, with the Nystrom
 preconditioner applied through the inversion formula.  The Gram system that
 the formula needs, (C^T C + lt*W_j) y = C^T r, is level 2.  The build
-prefactors the sketch Gram matrix M2 = (Phi C)^T (Phi C) + lt*W_j.  When the
-subspace embedding Phi is the identity, M2 is the level-2 matrix itself, so
-level 2 is one direct s x s solve through that factor.  Otherwise level 2 is
-Lanczos preconditioned by M2, one direct s x s solve per inner iteration.
+prefactors that s x s matrix itself, M2 = C^T C + lt*W_j, so level 2 is one
+exact direct solve through the factor.
 
-Iteration budgets and inner tolerances are derived at run time.  Level 1
-is one Lanczos run; at step Tunables.warmup_iters its own T supplies Ritz
-values, whose spread (inflated x2) estimates the preconditioned condition
-number.  That sets t_max and the residual target that certifies the
-energy-norm error contract, and the run continues from its own state.
-Trivially easy systems simply converge before that step.
+The iteration budget is derived at run time.  Level 1 is one Lanczos run;
+at step Tunables.warmup_iters its own T supplies Ritz values, whose spread
+(inflated x2) estimates the preconditioned condition number.  That sets
+t_max and the residual target that certifies the energy-norm error
+contract, and the run continues from its own state.  Trivially easy
+systems simply converge before that step.
 `two_phase_lanczos` runs that scheme, and the plain-Lanczos baseline runs on
 it too.  `solve_level1` is level 1 around it for any PSD B with a Nystrom
 preconditioner: `solve_psd` runs it on B = A with the level 2 above, and the
@@ -94,65 +92,23 @@ def _tally(counters: Optional[dict], level: str, steps: int, exhausted: bool = F
             counters[level + "_exhausted"] = counters.get(level + "_exhausted", 0) + 1
 
 
-def inner_lanczos(lanczos, op, rhs, solve_m, t_max, tol, counters, level, tun) -> np.ndarray:
-    """One inner-level Krylov run to relative residual tol, tallied under `level`.
-
-    `lanczos` is the caller's module-level preconditioned_lanczos, looked up
-    at call time, so each level's runs go through its own module's name.  A
-    zero rhs returns zeros and counts no run.
-    """
-    if float(np.linalg.norm(rhs)) == 0.0:
-        return np.zeros(rhs.shape[0])
-    y, ws = lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol,
-                    check_every=tun.check_every, tun=tun)
-    _tally(counters, level, ws.iterations, ws.status == "budget-exhausted")
-    return y
-
-
-def gram_inner(lanczos, pre, m2_solve, t_max, counters, tun) -> Callable:
-    """Level 2 for apply_minv_via_formula: (rhs, tol) -> y, Lanczos on the Gram system.
-
-    The operator y -> C^T(C y) + lt*(W_j y) is two dense GEMVs on the stored
-    C and W_j; m2_solve preconditions it.
-    """
-    c = pre.C.to_dense()
-    w_j = pre.w_jittered()
-    lt = pre.lambda_tilde
-
-    def g_op(y):
-        return c.T @ (c @ y) + lt * (w_j @ y)
-
-    def inner(rhs, tol):
-        return inner_lanczos(lanczos, g_op, rhs, m2_solve, t_max, tol, counters, "level2", tun)
-
-    return inner
-
-
 def solve_m1_psd(
     pre: NystromPreconditioner,
     r: np.ndarray,
-    inner_budget: int,
-    eps1: float = 1e-12,
     counters: Optional[dict] = None,
-    tun: Tunables = DEFAULT,
 ) -> np.ndarray:
-    """Approximate M^{-1} r: solve the level-2 Gram system, then the formula.
+    """M^{-1} r: one direct solve of the level-2 Gram system, then the formula.
 
-    When Phi is the identity, the prefactored M2 is the Gram matrix
-    C^T C + lt*W_j, so level 2 is one direct solve through it, counted as one
-    run of one step.  Otherwise level 2 is Lanczos on the Gram system
-    (gram_inner) preconditioned by the exact prefactored M2, so the only
-    inner error is the level-2 truncation, driven below eps1.
+    The prefactored M2 is the Gram matrix C^T C + lt*W_j, so level 2 is exact
+    and counts as one run of one step.
     """
     m2_solve = cho_apply(pre.inner)
-    if pre.phi_rows != pre.n:
-        inner = gram_inner(preconditioned_lanczos, pre, m2_solve, inner_budget, counters, tun)
-    else:
-        def inner(rhs, tol):
-            _tally(counters, "level2", 1)
-            return m2_solve(rhs)
 
-    return apply_minv_via_formula(pre, r, inner, eps1)
+    def inner(rhs, tol):
+        _tally(counters, "level2", 1)
+        return m2_solve(rhs)
+
+    return apply_minv_via_formula(pre, r, inner, 0.0)
 
 
 def two_phase_lanczos(
@@ -227,12 +183,12 @@ def solve_level1(
     on the normal-equations path, at `products` products with A per apply.
     `pre` is build() unless given, and ||B|| comes from the power method
     unless cached on `pre`.  They give kappa_mat, an upper estimate of
-    cond(M), and from it the inner targets eps0, eps1 and the level-2
-    budget; level2_for(pre, eps0, eps1, budget, kappa_mat) returns the SolveM
-    for them and its budget diagnostics.  The SolveM adds its inner iteration
-    counts to `counters`, whose keys (all zero on entry) join level1 (every
-    level-1 step) and warmup (the steps up to the Ritz read) in the report's
-    iterations; path_diagnostics(pre) adds the path's own diagnostics.
+    cond(M); level2_for(pre, kappa_mat) returns the SolveM and the
+    diagnostics of any inner budgets it derives from kappa_mat.  The SolveM
+    adds its inner iteration counts to `counters`, whose keys (all zero on
+    entry) join level1 (every level-1 step) and warmup (the steps up to the
+    Ritz read) in the report's iterations; path_diagnostics(pre) adds the
+    path's own diagnostics.
     matvecs counts the products with A this call made: level 1's steps and
     residual checks, the power method's when it ran, and one per lambda0
     probe when this call built `pre` (the probes share one block product).
@@ -264,11 +220,7 @@ def solve_level1(
         pre.pm_norm = power_method_norm(op, n, iters=tun.power_iters, seed=cfg.seed + 3)
     pm, lt = pre.pm_norm, pre.lambda_tilde
     kappa_mat = (pm + lt) / lt  # upper estimate of cond(M): B_nys <= B
-
-    eps0 = max(tun.eps_floor, cfg.eps / (kappa_mat * n))
-    eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
-    budget = int(math.ceil(tun.inner_budget_factor * math.log(max(kappa_mat / eps1, math.e))))
-    solve_m, budget_diag = level2_for(pre, eps0, eps1, budget, kappa_mat)
+    solve_m, budget_diag = level2_for(pre, kappa_mat)
 
     def main_target(theta, kappa):
         # lam_min(B + lam) ~ theta_min*lt/ritz_inflation from the smallest
@@ -337,15 +289,15 @@ def solve_psd(
             a, l_eff, cfg.lam, cfg.delta, cfg.seed, n=n, probes=tun.lambda0_probes, tun=tun,
         )
 
-    def level2_for(pre, eps0, eps1, inner_budget, kappa_mat):
+    def level2_for(pre, kappa_mat):
         def solve_m(r):
-            return solve_m1_psd(pre, r, inner_budget, eps1, counters, tun)
+            return solve_m1_psd(pre, r, counters)
 
-        return solve_m, {"eps0": eps0, "eps1": eps1, "inner_budget": inner_budget}
+        return solve_m, {}
 
     def path_diagnostics(pre):
         return {
-            "level2_solver": "cholesky" if pre.phi_rows == pre.n else "lanczos",
+            "level2_solver": "cholesky",
             "matvec_note": "matvecs counts the A applications this call made: level 1, "
             "the power method when it ran, and one per lambda0 probe when it built the "
             "preconditioner, though the probes share one block product (the build's "

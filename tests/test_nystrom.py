@@ -21,7 +21,6 @@ from mspsolve.nystrom import (
     apply_minv_via_formula,
     build_nystrom_psd,
     _SEED_EST,
-    _SEED_OSE,
     _SEED_PROBE,
     cho_apply,
     estimate_lambda0,
@@ -29,7 +28,7 @@ from mspsolve.nystrom import (
     jittered_cholesky,
     tail_probe_factor,
 )
-from mspsolve.sketch import make_ose, make_sparse_embedding, sketch_apply_right
+from mspsolve.sketch import make_sparse_embedding, sketch_apply_right
 
 import oracles
 
@@ -63,7 +62,6 @@ def manual_pre(a_dense, s, lt, seed, l=20):
         l=l,
         gamma=4,
         seed=seed,
-        phi_rows=0,
     )
     pre._w_j = w_j
     return pre, c, w_j
@@ -381,21 +379,19 @@ def test_failed_jitter_rungs_leave_no_exception_alive():
 
 def test_jitter_ladder_factors_m2_as_formed_at_the_chosen_rung():
     # M2 fails Cholesky at the first rung here, so the ladder reuses the
-    # product (Phi C)^T (Phi C) that potrf partly overwrote.
+    # product C^T C that potrf partly overwrote.
     k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
     delta, seed = 0.01, 0
     pre = build_nystrom_psd(k, 60, 1e-2, delta, seed)
     w = pre.W.to_dense()
     first_rung = DEFAULT.jitter_initial * np.trace(w) / pre.s
     assert pre.jitter > 1.5 * first_rung
-    pc = make_ose(pre.n, pre.s, delta, DEFAULT.ose_epsilon, seed + _SEED_OSE).apply(
-        pre.C.to_dense()
-    )
+    c = pre.C.to_dense()
 
     def m2_at(jitter):
         w_j = w.copy()
         w_j[np.diag_indices_from(w_j)] += jitter
-        return pc.T @ pc + pre.lambda_tilde * w_j
+        return c.T @ c + pre.lambda_tilde * w_j
 
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.cho_factor(m2_at(first_rung), lower=True, check_finite=False)
@@ -415,7 +411,6 @@ def test_exact_reference_size_guard():
         l=8,
         gamma=2,
         seed=0,
-        phi_rows=0,
     )
     with pytest.raises(SizeGuardError):
         exact_minv_reference(pre, np.zeros(4))
@@ -430,7 +425,6 @@ def test_diagnostics_fragment_is_json_ready():
         "s",
         "gamma",
         "l",
-        "phi_rows",
         "lambda0",
         "lambda_tilde",
         "jitter",

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import mspsolve.psd
-from mspsolve.config import DEFAULT
+from mspsolve.config import DEFAULT, ose_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.nystrom import build_nystrom_psd
@@ -181,7 +181,7 @@ def test_budget_exhaustion_is_reported_not_raised():
 def test_solve_m1_zero_residual_gives_zero():
     a = flat_tail_psd(64, 4, 100.0, seed=14)
     rep = solve_psd(a, np.ones(64), PsdSolveConfig(l=8, lam=0.1, seed=15))
-    out = solve_m1_psd(rep.preconditioner, np.zeros(64), inner_budget=10)
+    out = solve_m1_psd(rep.preconditioner, np.zeros(64))
     assert np.array_equal(out, np.zeros(64))
 
 
@@ -192,7 +192,7 @@ def test_solve_m1_matches_dense_inverse_with_generous_budget():
     pre = rep.preconditioner
     rng = np.random.default_rng(18)
     r = rng.standard_normal(n)
-    got = solve_m1_psd(pre, r, inner_budget=400, eps1=1e-13)
+    got = solve_m1_psd(pre, r)
     want = oracles.dense_minv_apply(
         pre.C.to_dense(), pre.w_jittered(), pre.lambda_tilde, r
     )
@@ -203,15 +203,14 @@ def test_solve_m1_identity_ose_is_one_direct_solve(monkeypatch):
     n = 128
     a = flat_tail_psd(n, 8, 1e3, seed=16)
     pre = build_nystrom_psd(a, 10, 0.3, 0.01, 17)
-    assert pre.phi_rows == n
 
     def no_lanczos(*args, **kwargs):
-        raise AssertionError("level 2 ran Lanczos with Phi = I")
+        raise AssertionError("level 2 ran Lanczos")
 
     monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", no_lanczos)
     r = np.random.default_rng(18).standard_normal(n)
     counters = {}
-    got = solve_m1_psd(pre, r, inner_budget=400, eps1=1e-13, counters=counters)
+    got = solve_m1_psd(pre, r, counters=counters)
     want = oracles.dense_minv_apply(
         pre.C.to_dense(), pre.w_jittered(), pre.lambda_tilde, r
     )
@@ -219,17 +218,29 @@ def test_solve_m1_identity_ose_is_one_direct_solve(monkeypatch):
     assert counters["level2_total"] == counters["level2_runs"] == 1
 
 
-def test_level2_runs_lanczos_when_ose_is_a_real_sketch():
-    # At n = 3000 the clamped l = 13 gives s = 140 and a 2314-row OSE.
+def test_level2_is_one_direct_solve_when_phi_would_sketch(monkeypatch):
+    # At n = 3000 the clamped l = 13 gives s = 140, where a subspace embedding
+    # sized for the s columns of C would have 2314 < n rows.  Level 2 is still
+    # one direct solve per apply, and level 1 the only Lanczos run.
     n = 3000
     rng = np.random.default_rng(30)
     vals = np.concatenate([1e3 * rng.uniform(1, 2, 8), rng.uniform(1, 2, n - 8)])
     b = rng.standard_normal(n)
     a = MatrixHandle(sp.diags(vals).tocsr(), sym="spd")
+    runs = []
+    original = mspsolve.psd.preconditioned_lanczos
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", counting)
     rep = solve_psd(a, b, PsdSolveConfig(l=12, lam=0.1, seed=31))
-    assert rep.preconditioner.phi_rows < n
-    assert rep.diagnostics["level2_solver"] == "lanczos"
-    assert rep.iterations["level2_total"] > rep.iterations["level2_runs"]
+    s = rep.preconditioner.s
+    assert ose_rows(n, s, 0.01, DEFAULT.ose_epsilon, DEFAULT) < n
+    assert rep.diagnostics["level2_solver"] == "cholesky"
+    assert rep.iterations["level2_total"] == rep.iterations["level2_runs"] > 0
+    assert len(runs) == 1
     assert rep.converged
     x_star = b / (vals + 0.1)
     d = rep.x - x_star
