@@ -155,8 +155,9 @@ def solve_krr(
     d_hat, retries = _estimate_effective_dim(k, lam, delta, seed, tun)
 
     if d_hat > n / 4.0:
-        reg = MatrixHandle(k.to_dense() + lam * np.eye(n), sym="spd")
-        x = dense_factor_solve(reg, y)
+        reg = np.array(k.to_dense())
+        reg[np.diag_indices(n)] += lam
+        x = dense_factor_solve(MatrixHandle(reg, sym="spd"), y)
         return SolveReport(
             x=x, status="converged", method="krr-dense-fallback",
             iterations={"level1": 0, "warmup": 0, "level2_total": 0},

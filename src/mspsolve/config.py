@@ -17,7 +17,11 @@ from .errors import DomainError
 class Tunables:
     """Sketch/budget constants, overridable per run."""
 
-    # sparse-embedding sizing: s = min(n, ceil(sketch_row_factor * l * ln(max(l/delta, e))))
+    # general-path sparse-embedding sizing:
+    # s = min(n, ceil(sketch_row_factor * l * ln(max(l/delta, e)))).  There S
+    # must stay a subspace embedding: acceptance criterion 06 (the whitened
+    # pencil) passes 1/30 trials at 0.5 and 19/30 at 1.0.  The PSD path
+    # sizes its own sketch (nystrom._PSD_ROW_FACTOR).
     sketch_row_factor: float = 1.5
     # nonzeros per column: clamp(ceil(ln(max(l/delta, e))), gamma_min, gamma_max)
     gamma_min: int = 2
@@ -84,10 +88,14 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def sketch_rows(l: int, n: int, delta: float, tun: Tunables) -> int:
-    """Row count of the sparse embedding for rank parameter l."""
-    grown = tun.sketch_row_factor * l * math.log(max(l / delta, math.e))
-    return min(n, int(math.ceil(grown)))
+def sketch_rows(l: int, n: int, delta: float, factor: float) -> int:
+    """Row count of the sparse embedding for rank parameter l.
+
+    s = min(n, ceil(factor * l * ln(max(l/delta, e)))): the paper's
+    s = O(l log l) with the caller's constant.
+    """
+    grown = factor * l * math.log(max(l / delta, math.e))
+    return n if grown >= n else int(math.ceil(grown))
 
 
 def sketch_nnz_per_column(l: int, delta: float, tun: Tunables) -> int:

@@ -104,7 +104,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     m, n = a.rows, a.cols
     l_eff, _ = clamp_rank(cfg.l, n)
 
-    s = sketch_rows(l_eff, n, cfg.delta, tun)
+    s = sketch_rows(l_eff, n, cfg.delta, tun.sketch_row_factor)
     gamma = min(sketch_nnz_per_column(l_eff, cfg.delta, tun), s)
     emb = make_sparse_embedding(s, n, gamma, cfg.seed)
     a_tilde = sketch_apply_right(a, emb)  # m x s dense

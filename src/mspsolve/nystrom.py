@@ -45,6 +45,13 @@ _SEED_OSE = 1
 _SEED_PROBE = 2
 _SEED_EST = 5
 
+# Row factor of the PSD path's sparse embedding, a third of the general
+# path's Tunables.sketch_row_factor.  There S must stay a subspace embedding;
+# here it only feeds a Nystrom approximation whose level-2 system the build
+# factors exactly.  s = 281 (~4.4*l) at l = 64, delta = 0.01, where the
+# general factor gives 842.
+_PSD_ROW_FACTOR = 0.5
+
 
 @dataclass(eq=False)
 class NystromPreconditioner:
@@ -268,10 +275,11 @@ def build_nystrom_psd(
 ) -> NystromPreconditioner:
     """Build the two-level Nystrom preconditioner for PSD A.
 
-    Draws the sparse embedding at the default sizing, forms C = A S^T and
-    W = S C (symmetrized), estimates lambda0 from a separate l-row probe
-    sketch (or uses (2/l)*exact_tail_sum when the exact tail is supplied,
-    e.g. in oracle-mode tests), picks the smallest jitter that makes W pass
+    Draws the sparse embedding with s = min(n, ceil(0.5*l*ln(max(l/delta, e))))
+    rows (_PSD_ROW_FACTOR), forms C = A S^T and W = S C (symmetrized),
+    estimates lambda0 from a separate l-row probe sketch (or uses
+    (2/l)*exact_tail_sum when the exact tail is supplied, e.g. in
+    oracle-mode tests), picks the smallest jitter that makes W pass
     Cholesky, and prefactors the level-2 matrix M2 = C^T C + lt*W_j.
 
     Every product with A is one block product, so the build streams a
@@ -294,7 +302,7 @@ def build_nystrom_psd(
     if not (math.log(n) < l < n):
         raise DomainError(f"rank parameter must satisfy log n < l < n, got l={l}, n={n}")
 
-    s = sketch_rows(l, n, delta, tun)
+    s = sketch_rows(l, n, delta, _PSD_ROW_FACTOR)
     gamma = sketch_nnz_per_column(l, delta, tun)
     gamma = min(gamma, s)
     emb = make_sparse_embedding(s, n, gamma, seed)

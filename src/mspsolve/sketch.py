@@ -27,6 +27,10 @@ from .core import MatrixHandle
 from .errors import DimensionMismatch, DomainError
 
 _SEED_MASK = (1 << 64) - 1
+# Rows of a general dense A per sketch product in sketch_apply_right.  At
+# 4000 x 512 and s = 178 (1 BLAS thread), blocks of 32-128 rows ran the
+# sketch in about 0.015 s against 0.03-0.05 s for the one-shot product.
+_ROW_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -93,9 +97,13 @@ def sketch_apply_right(a: Union[MatrixHandle, np.ndarray], s_emb: SparseEmbeddin
     """A S^T for A (m x n): an m x s dense result in one pass over A.
 
     Dense A is sketched as (S A^T)^T with S in CSC, which reads each row of
-    A^T once rather than gamma times: O(gamma * nnz(A)) flops.  scipy first
-    copies a general A^T into C order; a dense handle flagged "spd" is taken
-    at its word, A^T = A, and sketched as (S A)^T, which reads A in place.
+    A^T once rather than gamma times: O(gamma * nnz(A)) flops.  A dense
+    handle flagged "spd" is taken at its word, A^T = A, and sketched as
+    (S A)^T, which reads A in place.  A general dense A is sketched in
+    blocks of _ROW_BLOCK rows, since scipy copies each block's transpose
+    into C order: the copy stays cache-sized, not the size of A.  Every
+    output row is its own sum in the same order, so the result is
+    byte-identical to the one-shot product.
     """
     mat = _as_array_or_sparse(a)
     if mat.shape[1] != s_emb.n:
@@ -105,12 +113,14 @@ def sketch_apply_right(a: Union[MatrixHandle, np.ndarray], s_emb: SparseEmbeddin
     s_mat = s_emb.matrix()
     if sp.issparse(mat):
         out = np.asarray((mat @ s_mat.T).todense())
-    else:
-        # (S @ A^T)^T keeps the sparse operand on the left, which scipy
+    elif isinstance(a, MatrixHandle) and a.sym == "spd":
+        # (S @ A)^T keeps the sparse operand on the left, which scipy
         # executes without densifying S.
-        if not (isinstance(a, MatrixHandle) and a.sym == "spd"):
-            mat = mat.T
         out = np.ascontiguousarray((s_mat @ mat).T)
+    else:
+        out = np.empty((mat.shape[0], s_emb.s))
+        for i in range(0, mat.shape[0], _ROW_BLOCK):
+            out[i:i + _ROW_BLOCK] = (s_mat @ mat[i:i + _ROW_BLOCK].T).T
     return MatrixHandle(out)
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mspsolve.apps import solve_krr
-from mspsolve.config import DEFAULT
+from mspsolve.config import DEFAULT, sketch_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import (
     DomainError,
@@ -20,6 +22,7 @@ from mspsolve.nystrom import (
     NystromPreconditioner,
     apply_minv_via_formula,
     build_nystrom_psd,
+    _PSD_ROW_FACTOR,
     _SEED_EST,
     _SEED_PROBE,
     cho_apply,
@@ -28,6 +31,7 @@ from mspsolve.nystrom import (
     jittered_cholesky,
     tail_probe_factor,
 )
+from mspsolve.psd import clamp_rank
 from mspsolve.sketch import make_sparse_embedding, sketch_apply_right
 
 import oracles
@@ -397,6 +401,26 @@ def test_jitter_ladder_factors_m2_as_formed_at_the_chosen_rung():
         scipy.linalg.cho_factor(m2_at(first_rung), lower=True, check_finite=False)
     want = scipy.linalg.cho_factor(m2_at(pre.jitter), lower=True, check_finite=False)[0]
     assert pre.inner[0].tobytes() == want.tobytes()
+
+
+def test_psd_and_general_sketch_sizes():
+    # The PSD sketch feeds a Nystrom approximation that level 2 inverts
+    # exactly, so it is sized at a third of the general path's factor; the
+    # general path's S must stay a subspace embedding.
+    pre = build_nystrom_psd(np.eye(1024), l=32, lam=1.0, delta=0.01, seed=0)
+    assert pre.s == 130  # ceil(0.5 * 32 * ln 3200); 388 at factor 1.5
+    a = np.random.default_rng(3).standard_normal((600, 512))
+    cfg = GeneralSolveConfig(l=16, lam=1.0, eps=1e-6, delta=0.01, seed=0)
+    assert build_general(a, cfg).s == 178  # ceil(1.5 * 16 * ln 1600)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(4, 10**7), frac=st.floats(0.0, 1.0),
+       delta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+def test_psd_sketch_rows_lie_between_rank_and_dimension(n, frac, delta):
+    lo, hi = clamp_rank(1, n)[0], clamp_rank(n, n)[0]
+    l = lo + int(frac * (hi - lo))
+    assert l <= sketch_rows(l, n, delta, _PSD_ROW_FACTOR) <= n
 
 
 def test_exact_reference_size_guard():

@@ -150,6 +150,26 @@ def test_apply_right_symmetric_reads_a_in_place():
     assert peak < a.nbytes / 4
 
 
+@pytest.mark.parametrize("wrap", [np.asarray, MatrixHandle])
+def test_apply_right_general_sketches_row_blocks_without_copying_a(wrap):
+    # A general A^T is F-ordered, and scipy copies an F-ordered dense operand
+    # into C order; sketching row blocks bounds that copy.  3037 rows leave a
+    # ragged last block.
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((3037, 512))
+    emb = make_sparse_embedding(178, 512, 5, seed=6)
+    want = np.ascontiguousarray((emb.matrix() @ a.T).T)
+    operand = wrap(a)
+    tracemalloc.start()
+    try:
+        got = sketch_apply_right(operand, emb).to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < a.nbytes
+
+
 @pytest.mark.parametrize("s", [64, 300])
 @pytest.mark.parametrize("kind", ["spd", "general", "csr"])
 def test_csc_embedding_products_equal_csr_products(kind, s):
