@@ -1,6 +1,6 @@
-"""Applications on top of the solvers: kernel ridge regression, tall least
-squares by sketch-and-precondition, the ridge black-box contract, and a
-Hutchinson trace estimator.
+"""Applications on top of the solvers: kernel ridge regression (rank read off
+one Nystrom sketch of K), tall least squares by sketch-and-precondition, the
+ridge black-box contract, and a Hutchinson trace estimator.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 import scipy.spatial.distance
 
+from . import nystrom
 from .config import DEFAULT, Tunables
 from .core import MatrixHandle, as_vector, dense_factor_solve, operator_of
 from .errors import DomainError
@@ -94,36 +96,28 @@ def _estimate_effective_dim(
     delta: float,
     seed: int,
     tun: Tunables,
-    q: int = 10,
     l_boot: int = 64,
 ) -> Tuple[float, int]:
-    """d_lambda = tr(K(K+lam*I)^{-1}) by Hutchinson with coarse bootstrap solves.
+    """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom sketch of K.
 
-    Uses the identity z^T K (K+lam)^{-1} z = z^T z - lam * z^T (K+lam)^{-1} z,
-    so each probe costs one coarse solve.  A diverging bootstrap doubles its
-    rank parameter, at most twice.  Returns (estimate, retries_used).
+    The eigenvalues mu of K_nys = C W_j^{-1} C^T are those of B B^T,
+    B = L^{-1} C^T with L the Cholesky factor of W_j, and the estimate is
+    sum mu/(mu+lam).  The sketch has resolved d_lambda when s = n or
+    mu_min <= lam; otherwise l_boot doubles, at most twice, and n is returned,
+    which forces the dense fallback upstream.  Returns (estimate, retries).
     """
     n = k.rows
-    rng = np.random.default_rng([seed & ((1 << 63) - 1), 11])
     retries = 0
     while True:
         l_eff, _ = clamp_rank(min(l_boot, max(n // 2, 1)), n)
-        cfg = PsdSolveConfig(l=l_eff, lam=lam, eps=0.25, delta=delta, seed=seed + 17)
-        vals = []
-        diverged = False
-        pre = None
-        for p in range(q):
-            z = 2.0 * rng.integers(0, 2, size=n) - 1.0
-            rep = solve_psd(k, z, cfg, tun=tun, pre=pre)
-            pre = rep.preconditioner  # build once, reuse across probes
-            if rep.status != "converged":
-                diverged = True
-                break
-            vals.append(float(z @ z) - lam * float(z @ rep.x))
-        if not diverged:
-            return max(float(np.mean(vals)), 0.0), retries
+        pre = nystrom.build_nystrom_psd(k, l_eff, lam, delta, seed + 17, tun=tun)
+        chol = scipy.linalg.cholesky(pre.w_jittered(), lower=True, check_finite=False)
+        b = scipy.linalg.solve_triangular(chol, pre.C.to_dense().T, lower=True, check_finite=False)
+        mu = np.maximum(scipy.linalg.eigvalsh(b @ b.T, check_finite=False), 0.0)
+        if pre.s == n or mu[0] <= lam:
+            return float(np.sum(mu / (mu + lam))), retries
         if retries >= 2:
-            return float(n), retries  # forces the dense fallback upstream
+            return float(n), retries
         retries += 1
         l_boot *= 2
 
@@ -140,9 +134,9 @@ def solve_krr(
 ) -> SolveReport:
     """Kernel ridge regression solve (K + lam*I) alpha = y.
 
-    Estimates the effective dimension, sets the sketch rank l ~ 2*d_lambda,
-    and runs the PSD solver; a dense direct solve takes over when the
-    effective dimension is too large for sketching to pay (d_hat > n/4).
+    Reads d_lambda off one Nystrom sketch of K, sets the sketch rank
+    l ~ 2*d_lambda and runs the PSD solver once; a dense direct solve takes
+    over when sketching cannot pay (d_hat > n/4) or the sketch is unresolved.
     """
     t_start = time.perf_counter()
     if lam <= 0.0:

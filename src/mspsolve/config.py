@@ -100,11 +100,12 @@ def sketch_rows(l: int, n: int, delta: float, factor: float) -> int:
 
 def sketch_nnz_per_column(l: int, delta: float, tun: Tunables) -> int:
     """Nonzeros per embedding column for rank parameter l (clamped small int)."""
-    raw = int(math.ceil(math.log(max(l / delta, math.e))))
+    # ln(l) - ln(delta), since l/delta overflows for a subnormal delta.
+    raw = math.ceil(max(math.log(l) - math.log(delta), 1.0))
     return max(tun.gamma_min, min(tun.gamma_max, raw))
 
 
 def ose_rows(n: int, d: int, delta: float, epsilon: float, tun: Tunables) -> int:
     """Row count of the oblivious subspace embedding for subspace dimension d."""
-    grown = tun.ose_c_phi * (d + math.log(1.0 / delta)) / (epsilon * epsilon)
+    grown = tun.ose_c_phi * (d - math.log(delta)) / (epsilon * epsilon)
     return min(n, int(math.ceil(grown)))

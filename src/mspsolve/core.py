@@ -284,18 +284,19 @@ def dense_factor_solve(a: MatrixHandle, b):
     if a.rows != a.cols:
         raise DimensionMismatch("direct solve needs a square matrix")
     if a._factor is None:
-        dense = np.array(a.to_dense(), dtype=np.float64, order="C", copy=True)
-        scale = float(np.max(np.abs(dense))) if dense.size else 0.0
+        # One n x n copy, Fortran-ordered so LAPACK factors it in place.
+        dense = np.array(a.to_dense(), dtype=np.float64, order="F", copy=True)
+        scale = float(max(dense.max(), -dense.min())) if dense.size else 0.0
         if a.sym == "spd":
             try:
-                cho = scipy.linalg.cho_factor(dense, lower=True, check_finite=False)
+                cho = scipy.linalg.cho_factor(dense, lower=True, overwrite_a=True, check_finite=False)
             except scipy.linalg.LinAlgError as exc:
                 raise SingularMatrixError(f"Cholesky failed: {exc}") from exc
             # Cholesky pivots are the squared diagonal of L.
             _check_pivots(np.diag(cho[0]) ** 2, scale, "Cholesky")
             a._factor = ("cho", cho)
         else:
-            lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
+            lu, piv = scipy.linalg.lu_factor(dense, overwrite_a=True, check_finite=False)
             _check_pivots(np.diag(lu), scale, "LU")
             a._factor = ("lu", (lu, piv))
     kind, factor = a._factor

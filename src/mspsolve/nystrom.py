@@ -299,6 +299,8 @@ def build_nystrom_psd(
         raise DomainError("operator-only A needs an explicit dimension n")
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
+    if not (0.0 < delta < 0.5):
+        raise DomainError(f"delta must be in (0, 1/2), got {delta}")
     if not (math.log(n) < l < n):
         raise DomainError(f"rank parameter must satisfy log n < l < n, got l={l}, n={n}")
 

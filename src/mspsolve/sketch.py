@@ -189,7 +189,7 @@ def make_ose(
     phi = ose_rows(n, d, delta, epsilon, tun)
     if phi >= n:
         return OseSketch(phi=n, n=n, epsilon=epsilon, embedding=None)
-    gamma = max(2, math.ceil(math.log(d / delta)))
+    gamma = max(2, math.ceil(math.log(d) - math.log(delta)))
     gamma = min(gamma, phi)
     emb = make_sparse_embedding(phi, n, gamma, seed)
     return OseSketch(phi=phi, n=n, epsilon=epsilon, embedding=emb)

@@ -170,6 +170,62 @@ def test_krr_dense_fallback_when_effective_dim_is_large():
     assert np.linalg.norm(rep.x - x_star) <= 1e-8 * np.linalg.norm(x_star)
 
 
+def test_krr_effective_dim_read_matches_exact():
+    # The Nystrom sketch at l_boot resolves every eigenvalue above lam here,
+    # so its d_lambda read is close to the exact sum over K's spectrum.
+    n = 600
+    pts = cluster_points(n, 3, seed=2)
+    k = kernel_matrix(KernelSpec(kind="rbf", points=pts, bandwidth=1.5))
+    eigs = np.linalg.eigvalsh(k.to_dense())[::-1]
+    lam = lambda_for_effective_dim(eigs, 30.0)
+    exact = oracles.effective_dim_direct(eigs, lam)
+    y = np.random.default_rng(3).standard_normal(n)
+    rep = solve_krr(k, y, lam=lam, eps=1e-6, seed=4)
+    assert rep.diagnostics["bootstrap_retries"] == 0
+    assert abs(rep.diagnostics["d_lambda_estimate"] - exact) <= 0.02 * exact
+
+
+def test_krr_runs_one_psd_solve(monkeypatch):
+    calls = []
+    original = mspsolve.apps.solve_psd
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.apps, "solve_psd", spy)
+    n = 300
+    k = kernel_matrix(KernelSpec(kind="rbf", points=cluster_points(n, 3, seed=5)))
+    y = np.random.default_rng(6).standard_normal(n)
+    rep = solve_krr(k, y, lam=1.0, eps=1e-6, seed=1)
+    assert rep.method == "krr"
+    assert len(calls) == 1
+
+
+def test_krr_unresolved_sketch_retries_then_falls_back():
+    # K is close to the identity, so every Nystrom eigenvalue stays far above
+    # lam: the l_boot = 64 sketch (s = 281 < n) cannot resolve d_lambda and
+    # the read doubles l_boot until s = n, where d_hat ~ n.
+    n = 400
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((n, 2))
+    k = kernel_matrix(KernelSpec(kind="rbf", points=x, bandwidth=0.05))
+    k_dense = k.to_dense()
+    lam = 1e-10
+    y = rng.standard_normal(n)
+    rep = solve_krr(k, y, lam=lam, eps=1e-8, seed=9)
+    assert rep.diagnostics["bootstrap_retries"] >= 1
+    assert rep.method == "krr-dense-fallback"
+    x_star = np.linalg.solve(k_dense + lam * np.eye(n), y)
+    assert np.linalg.norm(rep.x - x_star) <= 1e-8 * np.linalg.norm(x_star)
+
+
+def test_krr_rejects_delta_outside_open_half_interval():
+    k = kernel_matrix(KernelSpec(kind="rbf", points=cluster_points(100, 2, seed=1)))
+    with pytest.raises(DomainError):
+        solve_krr(k, np.ones(100), lam=1e-2, eps=1e-6, delta=0.7)
+
+
 # -- ridge black box ---------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -290,6 +292,28 @@ def test_factor_solve_matrix_rhs_roundtrip():
     out = dense_factor_solve(h, rhs)
     assert isinstance(out, MatrixHandle)
     assert np.allclose(h.to_dense() @ out.to_dense(), rhs.to_dense(), atol=1e-10)
+
+
+@pytest.mark.parametrize("sym", ["spd", "general"])
+def test_factor_solve_holds_one_copy_of_a(sym):
+    # The factorization works in place on one copy of A: no |A| temporary
+    # for the pivot scale and no second copy made for LAPACK.
+    n = 1500
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((n, n))
+    a = g @ g.T + n * np.eye(n)
+    del g
+    b = rng.standard_normal(n)
+    h = MatrixHandle(a, sym=sym)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x = dense_factor_solve(h, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * a.nbytes
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 # -- spectrum summary ---------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mspsolve.apps import solve_krr
-from mspsolve.config import DEFAULT, sketch_rows
+from mspsolve.config import DEFAULT, sketch_nnz_per_column, sketch_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import (
     DomainError,
@@ -349,6 +349,20 @@ def test_build_rejects_out_of_range_rank():
         build_nystrom_psd(a, l=100, lam=0.0, delta=0.01, seed=0)
     with pytest.raises(DomainError):
         build_nystrom_psd(a, l=8, lam=-1.0, delta=0.01, seed=0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 0.7, float("nan")])
+def test_build_rejects_delta_outside_open_half_interval(delta):
+    with pytest.raises(DomainError):
+        build_nystrom_psd(np.eye(100), l=8, lam=0.0, delta=delta, seed=0)
+
+
+def test_subnormal_delta_sizes_the_sketch_without_overflow():
+    # l/delta overflows at delta = 5e-324; ln(l) - ln(delta) does not.
+    assert sketch_nnz_per_column(64, 5e-324, DEFAULT) == DEFAULT.gamma_max
+    assert sketch_rows(64, 1000, 5e-324, _PSD_ROW_FACTOR) == 1000
+    pre = build_nystrom_psd(random_psd(120, 3)[0], l=16, lam=0.1, delta=5e-324, seed=0)
+    assert pre.gamma == DEFAULT.gamma_max
 
 
 def test_operator_input_needs_dimension():

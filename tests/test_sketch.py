@@ -256,6 +256,12 @@ def test_ose_parameter_domain():
         make_ose(20, 10, 0.7, 0.5, seed=0)  # delta too large
 
 
+def test_ose_subnormal_delta_does_not_overflow():
+    # 1/delta overflows at delta = 5e-324; -ln(delta) ~ 744.4 does not.
+    assert ose_rows(10**6, 50, 5e-324, 0.5, DEFAULT) == 12712
+    assert make_ose(2000, 50, 5e-324, 0.5, seed=0).is_identity
+
+
 def test_ose_subspace_embedding_2000x50():
     """Singular values of Phi @ U inside [1/(1+eps), 1+eps], >= 9/10 seeds."""
     eps = 0.5
