@@ -1,6 +1,7 @@
 """Applications on top of the solvers: kernel ridge regression (rank read off
-one Nystrom sketch of K), tall least squares by sketch-and-precondition, the
-ridge black-box contract, and a Hutchinson trace estimator.
+one Nystrom sketch of K), tall least squares by one Lanczos run preconditioned
+by the sketched Gram (Psi A)^T (Psi A), the ridge black-box contract, and a
+Hutchinson trace estimator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .config import DEFAULT, Tunables
 from .core import MatrixHandle, as_vector, dense_factor_solve, operator_of
 from .errors import DomainError
 from .general import GeneralMspState, GeneralSolveConfig, build_general, solve_normal
+from .lanczos import preconditioned_lanczos
 from .psd import PsdSolveConfig, clamp_rank, solve_psd
 from .report import SolveReport
 from .sketch import make_ose
@@ -100,8 +102,10 @@ def _estimate_effective_dim(
 ) -> Tuple[float, int]:
     """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom sketch of K.
 
-    The eigenvalues mu of K_nys = C W_j^{-1} C^T are those of B B^T,
-    B = L^{-1} C^T with L the Cholesky factor of W_j, and the estimate is
+    Only the sketch is formed (nystrom.psd_sketch): no lambda0 probes and no
+    level-2 factor.  The eigenvalues mu of K_nys = C W_j^{-1} C^T are those
+    of B B^T, B = L^{-1} C^T with L the Cholesky factor of W_j (the first
+    rung of the jitter ladder that factors), and the estimate is
     sum mu/(mu+lam).  The sketch has resolved d_lambda when s = n or
     mu_min <= lam; otherwise l_boot doubles, at most twice, and n is returned,
     which forces the dense fallback upstream.  Returns (estimate, retries).
@@ -110,11 +114,11 @@ def _estimate_effective_dim(
     retries = 0
     while True:
         l_eff, _ = clamp_rank(min(l_boot, max(n // 2, 1)), n)
-        pre = nystrom.build_nystrom_psd(k, l_eff, lam, delta, seed + 17, tun=tun)
-        chol = scipy.linalg.cholesky(pre.w_jittered(), lower=True, check_finite=False)
-        b = scipy.linalg.solve_triangular(chol, pre.C.to_dense().T, lower=True, check_finite=False)
+        c, w, _ = nystrom.psd_sketch(k, l_eff, delta, seed + 17, n, tun)
+        chol = nystrom.jittered_cholesky(w, tun, "W")[0][0]
+        b = scipy.linalg.solve_triangular(chol, c.to_dense().T, lower=True, check_finite=False)
         mu = np.maximum(scipy.linalg.eigvalsh(b @ b.T, check_finite=False), 0.0)
-        if pre.s == n or mu[0] <= lam:
+        if c.cols == n or mu[0] <= lam:
             return float(np.sum(mu / (mu + lam))), retries
         if retries >= 2:
             return float(n), retries
@@ -216,17 +220,21 @@ def solve_least_squares(
     eps: float,
     delta: float = 0.01,
     seed: int = 0,
-    l: Optional[int] = None,
     *,
     tun: Tunables = DEFAULT,
 ) -> SolveReport:
-    """min_x ||A x - b|| for tall A by sketch-and-precondition refinement.
+    """min_x ||A x - b|| for tall A by sketch-and-precondition.
 
-    A row sketch A_bar = Psi A (constant-distortion subspace embedding for
-    range(A)) is built once; each outer step solves (A_bar^T A_bar) z = g,
-    g the true gradient A^T(b - A x), to constant accuracy through the
-    three-level machinery, then takes the exact line-search step along z.
-    Stops when ||A^T(b - A x)|| <= eps * ||A^T b||.
+    A row sketch A_bar = Psi A (a constant-distortion subspace embedding for
+    range(A)) makes M = A_bar^T A_bar within a constant factor of A^T A
+    (Rokhlin & Tygert 2008; Avron, Maymounkov & Toledo 2010, Blendenpik).
+    M is factored once through the jitter ladder, which also covers a
+    rank-deficient A, and one preconditioned Lanczos run on
+    A^T A x = A^T b, one product with A and one with A^T per step, stops
+    when its true residual ||A^T(b - A x)|| <= eps * ||A^T b||.  That stop
+    is reported as "gradient-target"; the run's other stop reasons pass
+    through.  iterations["outer"] counts the run's steps, budget
+    8*ceil(log2(1/eps)).
     """
     t_start = time.perf_counter()
     if not isinstance(a, MatrixHandle):
@@ -238,72 +246,41 @@ def solve_least_squares(
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must be in (0,1), got {eps}")
 
-    l_eff, _ = clamp_rank(l if l is not None else n // 8, n)
+    config_echo = {"eps": eps, "delta": delta, "seed": seed}
     g0 = a.rmatvec(b)
-    g0_norm = float(np.linalg.norm(g0))
-    if g0_norm == 0.0:
+    if float(np.linalg.norm(g0)) == 0.0:
         # b is orthogonal to range(A): x = 0 is the minimizer.
         return SolveReport(
             x=np.zeros(n), status="converged", method="sketch-ls",
-            iterations={"outer": 0, "level1_total": 0},
-            matvecs=1, residual_history=[], kappa_m_estimate=None,
+            iterations={"outer": 0}, matvecs=1, residual_history=[],
+            kappa_m_estimate=None,
             wall_ms=(time.perf_counter() - t_start) * 1e3,
-            config_echo={"eps": eps, "delta": delta, "seed": seed, "l": l_eff},
-            stop_reason="zero-gradient",
+            config_echo=config_echo, stop_reason="zero-gradient",
         )
 
     psi = make_ose(m, n, delta, tun.ose_epsilon, seed + 7, tun=tun)
-    a_bar = MatrixHandle(psi.apply(a.raw()))
-    inner_cfg = GeneralSolveConfig(
-        l=l_eff, lam=0.0, eps=0.25, delta=delta, seed=seed
+    a_bar = psi.apply(a.raw())
+    factor, _, jitter, _ = nystrom.jittered_cholesky(a_bar.T @ a_bar, tun, "sketched Gram")
+    del a_bar
+    x, ws = preconditioned_lanczos(
+        lambda v: a.rmatvec(a.matvec(v)), g0, nystrom.cho_apply(factor),
+        t_max=8 * int(math.ceil(math.log2(1.0 / eps))), residual_target=eps, tun=tun,
     )
-    state = build_general(a_bar, inner_cfg, tun=tun)
-
-    budget = 8 * int(math.ceil(math.log2(1.0 / eps)))
-    x = np.zeros(n)
-    grad_history = []
-    level1_total = 0
-    matvecs = 1
-    status, stop_reason = "budget-exhausted", "outer-budget"
-    outer = 0
-    for outer in range(budget):
-        r = b - a.matvec(x)
-        g = a.rmatvec(r)
-        matvecs += 2
-        g_rel = float(np.linalg.norm(g)) / g0_norm
-        grad_history.append([outer, g_rel])
-        if g_rel <= eps:
-            status, stop_reason = "converged", "gradient-target"
-            break
-        inner = solve_normal(a_bar, g, inner_cfg, state=state, tun=tun)
-        level1_total += inner.iterations["level1"]
-        z = inner.x
-        az = a.matvec(z)
-        matvecs += 1
-        denom = float(az @ az)
-        if denom == 0.0:
-            status, stop_reason = "breakdown", "null-step"
-            break
-        # Exact line search along z: keeps the objective monotone even when
-        # the sketch distortion would make a unit step overshoot.
-        alpha = float(az @ r) / denom
-        x = x + alpha * z
-    else:
-        outer = budget
-
     return SolveReport(
-        x=x, status=status, method="sketch-ls",
-        iterations={"outer": outer, "level1_total": level1_total},
-        matvecs=matvecs,
-        residual_history=grad_history,
+        x=x, status=ws.status, method="sketch-ls",
+        iterations={"outer": ws.iterations},
+        matvecs=1 + 2 * ws.n_matvec,
+        residual_history=[[i, r] for i, r in ws.checkpoints],
         kappa_m_estimate=None,
         wall_ms=(time.perf_counter() - t_start) * 1e3,
-        config_echo={"eps": eps, "delta": delta, "seed": seed, "l": l_eff},
-        stop_reason=stop_reason,
+        config_echo=config_echo,
+        stop_reason=(
+            "gradient-target" if ws.stop_reason == "residual-target" else ws.stop_reason
+        ),
         diagnostics={
             "sketch_rows": psi.phi,
             "sketch_identity": psi.is_identity,
-            "preconditioner": state.diagnostics(),
+            "jitter": jitter,
         },
-        preconditioner=state,
+        workspace=ws,
     )

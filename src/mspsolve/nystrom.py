@@ -261,6 +261,29 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int, tun: Tunables):
     return c_l_handle.to_dense(), chol
 
 
+def psd_sketch(a, l: int, delta: float, seed: int, n: int, tun: Tunables = DEFAULT):
+    """(C = A S^T, W = S C symmetrized, gamma) for PSD A (n x n).
+
+    S is the sparse embedding with s = min(n, ceil(0.5*l*ln(max(l/delta, e))))
+    rows (_PSD_ROW_FACTOR) and gamma nonzeros per column, drawn from `seed`.
+    A handle is read once; an operator-only A is applied once per column of
+    S^T.  Raises DomainError unless delta is in (0, 1/2) and log n < l < n.
+    """
+    if not (0.0 < delta < 0.5):
+        raise DomainError(f"delta must be in (0, 1/2), got {delta}")
+    if not (math.log(n) < l < n):
+        raise DomainError(f"rank parameter must satisfy log n < l < n, got l={l}, n={n}")
+    s = sketch_rows(l, n, delta, _PSD_ROW_FACTOR)
+    gamma = min(sketch_nnz_per_column(l, delta, tun), s)
+    emb = make_sparse_embedding(s, n, gamma, seed)
+    if isinstance(a, MatrixHandle):
+        c_handle = sketch_apply_right(a, emb)
+    else:
+        c_handle = MatrixHandle(_apply_to_columns(a, emb.matrix().T.toarray()))
+    w_raw = sketch_apply_left(emb, c_handle).to_dense()
+    return c_handle, 0.5 * (w_raw + w_raw.T), gamma
+
+
 def build_nystrom_psd(
     a,
     l: int,
@@ -275,12 +298,11 @@ def build_nystrom_psd(
 ) -> NystromPreconditioner:
     """Build the two-level Nystrom preconditioner for PSD A.
 
-    Draws the sparse embedding with s = min(n, ceil(0.5*l*ln(max(l/delta, e))))
-    rows (_PSD_ROW_FACTOR), forms C = A S^T and W = S C (symmetrized),
-    estimates lambda0 from a separate l-row probe sketch (or uses
-    (2/l)*exact_tail_sum when the exact tail is supplied, e.g. in
-    oracle-mode tests), picks the smallest jitter that makes W pass
-    Cholesky, and prefactors the level-2 matrix M2 = C^T C + lt*W_j.
+    Sketches C = A S^T and W = S C (psd_sketch), estimates lambda0 from a
+    separate l-row probe sketch (or uses (2/l)*exact_tail_sum when the exact
+    tail is supplied, e.g. in oracle-mode tests), picks the smallest jitter
+    that makes W pass Cholesky, and prefactors the level-2 matrix
+    M2 = C^T C + lt*W_j.
 
     Every product with A is one block product, so the build streams a
     handle's A three times (S A, S_l A and the probe block; once with
@@ -299,28 +321,13 @@ def build_nystrom_psd(
         raise DomainError("operator-only A needs an explicit dimension n")
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
-    if not (0.0 < delta < 0.5):
-        raise DomainError(f"delta must be in (0, 1/2), got {delta}")
-    if not (math.log(n) < l < n):
-        raise DomainError(f"rank parameter must satisfy log n < l < n, got l={l}, n={n}")
-
-    s = sketch_rows(l, n, delta, _PSD_ROW_FACTOR)
-    gamma = sketch_nnz_per_column(l, delta, tun)
-    gamma = min(gamma, s)
-    emb = make_sparse_embedding(s, n, gamma, seed)
+    c_handle, w, gamma = psd_sketch(a, l, delta, seed, n, tun)
+    c = c_handle.to_dense()
 
     def passes(cols):
         return 1 if isinstance(a, MatrixHandle) else cols
 
-    build_passes = passes(s)
-    if isinstance(a, MatrixHandle):
-        c_handle = sketch_apply_right(a, emb)
-    else:
-        c_handle = MatrixHandle(_apply_to_columns(a, emb.matrix().T.toarray()))
-    c = c_handle.to_dense()
-    w_raw = sketch_apply_left(emb, c_handle).to_dense()
-    w = 0.5 * (w_raw + w_raw.T)
-    del w_raw
+    build_passes = passes(c_handle.cols)
 
     if exact_tail_sum is not None:
         lambda0 = (2.0 / l) * max(float(exact_tail_sum), 0.0)

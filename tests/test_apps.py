@@ -313,10 +313,10 @@ def test_least_squares_rhs_orthogonal_to_range():
 
 
 def test_least_squares_zero_gradient_builds_nothing(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("build_general called for a zero gradient")
+    def no_sketch(*args, **kwargs):
+        raise AssertionError("make_ose called for a zero gradient")
 
-    monkeypatch.setattr(mspsolve.apps, "build_general", no_build)
+    monkeypatch.setattr(mspsolve.apps, "make_ose", no_sketch)
     a = np.zeros((40, 10))
     a[:20] = np.random.default_rng(22).standard_normal((20, 10))
     b = np.zeros(40)
@@ -326,23 +326,62 @@ def test_least_squares_zero_gradient_builds_nothing(monkeypatch):
 
 
 def test_least_squares_counts_each_level1_iteration_once(monkeypatch):
-    # Every inner solve ends in its warmup here, where the report's level1
-    # and warmup count the same iterations.
+    # The solve is one Lanczos run; each of its steps, and each true-residual
+    # check, applies A^T A once (two passes over A), plus one pass for A^T b.
     rng = np.random.default_rng(7)
     a = rng.standard_normal((400, 32))
     b = rng.standard_normal(400)
-    ran = []
-    original = mspsolve.psd.preconditioned_lanczos
+    runs = []
+    original = mspsolve.apps.preconditioned_lanczos
 
     def counting(*args, **kwargs):
         x, ws = original(*args, **kwargs)
-        ran.append(ws.iterations)
+        runs.append(ws)
         return x, ws
 
-    monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", counting)
+    monkeypatch.setattr(mspsolve.apps, "preconditioned_lanczos", counting)
     rep = solve_least_squares(a, b, eps=1e-6)
     assert rep.converged
-    assert rep.iterations["level1_total"] == sum(ran) > 0
+    assert len(runs) == 1
+    ws = runs[0]
+    assert rep.iterations == {"outer": ws.iterations}
+    assert rep.matvecs == 1 + 2 * ws.n_matvec
+
+
+def _ls_gap(a, b, x):
+    """(||Ax - b||^2 - min ||Ax - b||^2) / ||b||^2; lstsq covers rank-deficient A."""
+    x_star = np.linalg.lstsq(a, b, rcond=None)[0]
+    return (np.linalg.norm(a @ x - b) ** 2
+            - np.linalg.norm(a @ x_star - b) ** 2) / np.linalg.norm(b) ** 2
+
+
+def test_least_squares_ill_conditioned_through_a_real_sketch():
+    # kappa(A) = 1e6 and m large enough that Psi has fewer rows than A.
+    m, n, eps = 3000, 64, 1e-8
+    rng = np.random.default_rng(30)
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (u * (np.geomspace(1.0, 1e-6, n) * np.sqrt(m))) @ v.T
+    b = rng.standard_normal(m)
+    rep = solve_least_squares(a, b, eps=eps, seed=31)
+    assert not rep.diagnostics["sketch_identity"]
+    assert rep.diagnostics["sketch_rows"] < m
+    assert rep.converged and rep.stop_reason == "gradient-target"
+    assert _ls_gap(a, b, rep.x) <= eps
+
+
+def test_least_squares_rank_deficient_duplicated_columns():
+    # A = [B, B]: A^T A is singular, the minimizer is not unique, and the
+    # sketched Gram needs the jitter ladder to factor.
+    m, k, eps = 600, 20, 1e-8
+    rng = np.random.default_rng(32)
+    half = rng.standard_normal((m, k))
+    a = np.hstack([half, half])
+    b = rng.standard_normal(m)
+    rep = solve_least_squares(a, b, eps=eps, seed=33)
+    assert rep.converged
+    assert np.linalg.norm(a.T @ (b - a @ rep.x)) <= eps * np.linalg.norm(a.T @ b)
+    assert _ls_gap(a, b, rep.x) <= eps
 
 
 def test_least_squares_validation():
