@@ -233,7 +233,8 @@ def solve_least_squares(
     A^T A x = A^T b, one product with A and one with A^T per step, stops
     when its true residual ||A^T(b - A x)|| <= eps * ||A^T b||.  That stop
     is reported as "gradient-target"; the run's other stop reasons pass
-    through.  iterations["outer"] counts the run's steps, budget
+    through, so a clean Krylov break (an invariant subspace, exact in exact
+    arithmetic) is reported as converged without a gradient check.  iterations["outer"] counts the run's steps, budget
     8*ceil(log2(1/eps)).
     """
     t_start = time.perf_counter()

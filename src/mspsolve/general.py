@@ -267,7 +267,7 @@ def solve_normal(
     """Solve (A^T A + lam*I) x = c to relative energy-norm error eps.
 
     Pass a prebuilt `state` to amortize the sketch factorizations over many
-    right-hand sides (the least-squares driver does).  For a square general
+    right-hand sides (ridge_blackbox_solve does).  For a square general
     system A x = b, call with c = A^T b and lam = 0.
 
     Level 1 is psd.solve_level1 on B = A^T A; level 2 is solve_m1_general.

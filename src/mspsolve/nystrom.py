@@ -261,7 +261,7 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int, tun: Tunables):
     return c_l_handle.to_dense(), chol
 
 
-def psd_sketch(a, l: int, delta: float, seed: int, n: int, tun: Tunables = DEFAULT):
+def psd_sketch(a, l: int, delta: float, seed: int, n: int, tun: Tunables):
     """(C = A S^T, W = S C symmetrized, gamma) for PSD A (n x n).
 
     S is the sparse embedding with s = min(n, ceil(0.5*l*ln(max(l/delta, e))))
