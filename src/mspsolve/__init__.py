@@ -9,7 +9,6 @@ regression, sketch-and-precondition least squares, a ridge black-box contract
 for spectral-sum estimation, and a benchmark / instance-generation CLI.
 """
 
-from .config import Tunables
 from .core import (
     MatrixHandle,
     SpectrumSummary,
@@ -48,7 +47,6 @@ from .nystrom import (
 )
 from .lanczos import (
     LanczosWorkspace,
-    SolveMContract,
     TridiagonalMatrix,
     preconditioned_lanczos,
     symmetric_lanczos_reference,
@@ -80,7 +78,6 @@ from .bench import BenchmarkReport, run_compare
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tunables",
     "MatrixHandle",
     "SpectrumSummary",
     "as_vector",
@@ -111,7 +108,6 @@ __all__ = [
     "exact_minv_reference",
     "TridiagonalMatrix",
     "LanczosWorkspace",
-    "SolveMContract",
     "preconditioned_lanczos",
     "symmetric_lanczos_reference",
     "tridiag_solve_e1",

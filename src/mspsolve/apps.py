@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.spatial.distance
 
 from . import nystrom
-from .config import DEFAULT, Tunables
+from .config import OSE_EPSILON
 from .core import MatrixHandle, as_vector, dense_factor_solve, operator_of
 from .errors import DomainError
 from .general import GeneralMspState, GeneralSolveConfig, build_general, solve_normal
@@ -97,7 +97,6 @@ def _estimate_effective_dim(
     lam: float,
     delta: float,
     seed: int,
-    tun: Tunables,
     l_boot: int = 64,
 ) -> Tuple[float, int]:
     """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom sketch of K.
@@ -114,8 +113,8 @@ def _estimate_effective_dim(
     retries = 0
     while True:
         l_eff, _ = clamp_rank(min(l_boot, max(n // 2, 1)), n)
-        c, w, _ = nystrom.psd_sketch(k, l_eff, delta, seed + 17, n, tun)
-        chol = nystrom.jittered_cholesky(w, tun, "W")[0][0]
+        c, w, _ = nystrom.psd_sketch(k, l_eff, delta, seed + 17, n)
+        chol = nystrom.jittered_cholesky(w, "W")[0][0]
         b = scipy.linalg.solve_triangular(chol, c.to_dense().T, lower=True, check_finite=False)
         mu = np.maximum(scipy.linalg.eigvalsh(b @ b.T, check_finite=False), 0.0)
         if c.cols == n or mu[0] <= lam:
@@ -133,8 +132,6 @@ def solve_krr(
     eps: float,
     delta: float = 0.01,
     seed: int = 0,
-    *,
-    tun: Tunables = DEFAULT,
 ) -> SolveReport:
     """Kernel ridge regression solve (K + lam*I) alpha = y.
 
@@ -150,7 +147,7 @@ def solve_krr(
     y = as_vector(y, k.rows)
     n = k.rows
 
-    d_hat, retries = _estimate_effective_dim(k, lam, delta, seed, tun)
+    d_hat, retries = _estimate_effective_dim(k, lam, delta, seed)
 
     if d_hat > n / 4.0:
         reg = np.array(k.to_dense())
@@ -168,7 +165,7 @@ def solve_krr(
 
     l = clamp_rank(min(math.ceil(2.0 * d_hat), n // 2), n)[0]
     cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-    report = solve_psd(k, y, cfg, tun=tun)
+    report = solve_psd(k, y, cfg)
     report.method = "krr"
     report.wall_ms = (time.perf_counter() - t_start) * 1e3
     report.diagnostics["d_lambda_estimate"] = d_hat
@@ -186,7 +183,6 @@ class RidgeBlackBox:
     l: int = 32
     delta: float = 0.01
     seed: int = 0
-    tun: Tunables = DEFAULT
     state: GeneralMspState = field(init=False)
 
     def __post_init__(self):
@@ -195,7 +191,7 @@ class RidgeBlackBox:
         cfg = GeneralSolveConfig(
             l=self.l, lam=self.lam, eps=0.5, delta=self.delta, seed=self.seed
         )
-        self.state = build_general(self.a, cfg, tun=self.tun)
+        self.state = build_general(self.a, cfg)
 
 
 def ridge_blackbox_solve(bb: RidgeBlackBox, y: np.ndarray, eps: float) -> np.ndarray:
@@ -210,7 +206,7 @@ def ridge_blackbox_solve(bb: RidgeBlackBox, y: np.ndarray, eps: float) -> np.nda
     cfg = GeneralSolveConfig(
         l=bb.l, lam=bb.lam, eps=eps, delta=bb.delta, seed=bb.seed
     )
-    report = solve_normal(bb.a, y, cfg, state=bb.state, tun=bb.tun)
+    report = solve_normal(bb.a, y, cfg, state=bb.state)
     return report.x
 
 
@@ -220,8 +216,6 @@ def solve_least_squares(
     eps: float,
     delta: float = 0.01,
     seed: int = 0,
-    *,
-    tun: Tunables = DEFAULT,
 ) -> SolveReport:
     """min_x ||A x - b|| for tall A by sketch-and-precondition.
 
@@ -259,13 +253,13 @@ def solve_least_squares(
             config_echo=config_echo, stop_reason="zero-gradient",
         )
 
-    psi = make_ose(m, n, delta, tun.ose_epsilon, seed + 7, tun=tun)
+    psi = make_ose(m, n, delta, OSE_EPSILON, seed + 7)
     a_bar = psi.apply(a.raw())
-    factor, _, jitter, _ = nystrom.jittered_cholesky(a_bar.T @ a_bar, tun, "sketched Gram")
+    factor, _, jitter, _ = nystrom.jittered_cholesky(a_bar.T @ a_bar, "sketched Gram")
     del a_bar
     x, ws = preconditioned_lanczos(
         lambda v: a.rmatvec(a.matvec(v)), g0, nystrom.cho_apply(factor),
-        t_max=8 * int(math.ceil(math.log2(1.0 / eps))), residual_target=eps, tun=tun,
+        t_max=8 * int(math.ceil(math.log2(1.0 / eps))), residual_target=eps,
     )
     return SolveReport(
         x=x, status=ws.status, method="sketch-ls",

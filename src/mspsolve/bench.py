@@ -23,13 +23,13 @@ import numpy as np
 import scipy
 import scipy.linalg
 
-from .config import DEFAULT, Tunables
+from .config import WARMUP_ITERS
 from .core import MatrixHandle, as_vector, operator_of
 from .errors import DomainError, MspError
 from .general import GeneralSolveConfig, solve_normal
 from .instances import InstanceSpec, gen_instance
 # preconditioned_lanczos is unused here, but tracers rebind it by this name.
-from .lanczos import SolveMContract, preconditioned_lanczos  # noqa: F401
+from .lanczos import preconditioned_lanczos  # noqa: F401
 from .psd import PsdSolveConfig, solve_psd, two_phase_lanczos
 from .report import SCHEMA_VERSION, SolveReport
 
@@ -43,12 +43,11 @@ def solve_plain_lanczos(
     lam: float = 0.0,
     eps: float = 1e-8,
     trace=None,
-    tun: Tunables = DEFAULT,
 ) -> SolveReport:
     """Unpreconditioned Lanczos baseline for (A + lam*I) x = b, A symmetric.
 
     Runs on the same driver as the preconditioned solver (one run, its
-    budget set from its own Ritz values at step Tunables.warmup_iters) with
+    budget set from its own Ritz values at step config.WARMUP_ITERS) with
     the identity in place of M, so iteration counts are comparable like for
     like.  Before the Ritz read the run aims at no target, since no residual
     bound certifies the energy error without a kappa estimate; only a clean
@@ -81,16 +80,16 @@ def solve_plain_lanczos(
             config_echo=config_echo, stop_reason="zero-rhs",
         )
 
-    identity_m = SolveMContract(apply=lambda r: r.copy(), eps0=0.0)
+    # M = I; the copy keeps M^{-1} r a separate array from r.
     x, ws, kappa, _ = two_phase_lanczos(
-        b_op, b, identity_m, float(n), None,
-        lambda theta, kappa: (eps / math.sqrt(kappa), {}), eps, trace=trace, tun=tun,
+        b_op, b, lambda r: r.copy(), float(n), None,
+        lambda theta, kappa: (eps / math.sqrt(kappa), {}), eps, trace=trace,
     )
     return SolveReport(
         x=x,
         status=ws.status,
         method="plain-lanczos",
-        iterations={"level1": ws.iterations, "warmup": min(ws.iterations, tun.warmup_iters)},
+        iterations={"level1": ws.iterations, "warmup": min(ws.iterations, WARMUP_ITERS)},
         matvecs=ws.n_matvec,
         residual_history=[[i, r] for i, r in ws.checkpoints],
         kappa_m_estimate=kappa,  # see two_phase_lanczos; None where Ritz values give none
@@ -157,7 +156,7 @@ def _dense_direct(a: MatrixHandle, b: np.ndarray, lam: float) -> SolveReport:
 
 
 def run_solver(name: str, a: MatrixHandle, b: np.ndarray, *, lam: float, eps: float, l: int,
-               delta: float, seed: int, tun: Tunables = DEFAULT) -> SolveReport:
+               delta: float, seed: int) -> SolveReport:
     """Solve with the SOLVERS entry `name` at the given targets.
 
     msp-general solves the normal equations (A^T A + lam*I) x = A^T b; the
@@ -165,13 +164,13 @@ def run_solver(name: str, a: MatrixHandle, b: np.ndarray, *, lam: float, eps: fl
     rectangular A.
     """
     if name == "plain-lanczos":
-        return solve_plain_lanczos(a, b, lam=lam, eps=eps, tun=tun)
+        return solve_plain_lanczos(a, b, lam=lam, eps=eps)
     if name == "msp-psd":
         cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-        return solve_psd(a, b, cfg, tun=tun)
+        return solve_psd(a, b, cfg)
     if name == "msp-general":
         cfg = GeneralSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-        return solve_normal(a, a.rmatvec(b), cfg, tun=tun)
+        return solve_normal(a, a.rmatvec(b), cfg)
     if name == "dense-direct":
         return _dense_direct(a, b, lam)
     raise DomainError(f"unknown solver {name!r}; pick from {SOLVERS}")
@@ -258,14 +257,24 @@ def run_compare(
     *,
     warmup_runs: int = 1,
     threads: Optional[int] = None,
-    tun: Tunables = DEFAULT,
 ) -> BenchmarkReport:
     """Run each named solver on the instance and tabulate audited results.
 
     `instance` is an InstanceSpec or a prebuilt (A, b) pair.  `targets` may
-    carry eps, lam, l, delta, seed (missing keys take defaults).  A solver
-    raising is recorded as a failed row and the run continues.
+    carry eps, lam, l, delta, seed (missing keys take defaults).  An empty,
+    repeating or unknown solver list, or a negative warmup_runs, raises
+    DomainError before any solver runs.  A solver raising is recorded as a
+    failed row and the run continues.
     """
+    if not solvers:
+        raise DomainError(f"no solvers given; pick from {SOLVERS}")
+    unknown = [name for name in solvers if name not in SOLVERS]
+    if unknown:
+        raise DomainError(f"unknown solver {unknown[0]!r}; pick from {SOLVERS}")
+    if len(set(solvers)) != len(solvers):
+        raise DomainError(f"solver list repeats a name: {solvers}")
+    if warmup_runs < 0:
+        raise DomainError(f"warmup_runs must be >= 0, got {warmup_runs}")
     targets = dict(targets or {})
     eps = float(targets.get("eps", 1e-8))
     lam = float(targets.get("lam", 0.0))
@@ -296,8 +305,6 @@ def run_compare(
     report.instance.update({"eps": eps, "lam": lam, "l": l, "delta": delta})
 
     for name in solvers:
-        if name not in SOLVERS:
-            raise DomainError(f"unknown solver {name!r}; pick from {SOLVERS}")
         # msp-general solves A^T A x = A^T b (+lam) and is audited against that
         # system; everything else is audited against (A + lam I) x = b, except
         # dense-direct on a rectangular instance (a least-squares solve).
@@ -315,10 +322,9 @@ def run_compare(
             def run() -> SolveReport:
                 if name in ("plain-lanczos", "msp-psd") and a.sym != "spd":
                     raise DomainError(f"{name} needs a symmetric PSD operator")
-                return run_solver(name, a, b, lam=lam, eps=eps, l=l, delta=delta, seed=seed,
-                                  tun=tun)
+                return run_solver(name, a, b, lam=lam, eps=eps, l=l, delta=delta, seed=seed)
 
-            for _ in range(max(warmup_runs, 0)):
+            for _ in range(warmup_runs):
                 run()
             rep = run()
         except (MspError, np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:

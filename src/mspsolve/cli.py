@@ -22,7 +22,6 @@ import numpy as np
 
 from .apps import hutchinson_trace
 from .bench import SOLVERS, run_compare, run_solver
-from .config import DEFAULT, Tunables
 from .core import MatrixHandle, SpectrumSummary, effective_dimension
 from .errors import MspError
 from .general import GeneralSolveConfig, solve_normal
@@ -54,8 +53,6 @@ def _add_global_flags(parser, suppress: bool) -> None:
                         help="cap BLAS/LAPACK threads (needs threadpoolctl)")
     parser.add_argument("--json-out", metavar="PATH", default=dflt(None),
                         help="also write the JSON report to PATH")
-    parser.add_argument("--config", metavar="PATH", default=dflt(None),
-                        help="key=value file overriding solver constants")
 
 
 def _build_parser() -> _Parser:
@@ -125,15 +122,15 @@ def _emit(report_json: str, json_out: Optional[str]) -> None:
             fh.write(report_json + "\n")
 
 
-def _run_method(method: str, a: MatrixHandle, b: np.ndarray, args, tun: Tunables):
+def _run_method(method: str, a: MatrixHandle, b: np.ndarray, args):
     n = a.cols
     l = args.l if args.l is not None else max(int(np.ceil(np.log2(max(n, 2)))) + 1, 8)
     l = min(l, max(n // 2, 2))
     return run_solver(method, a, b, lam=args.lam, eps=args.eps, l=l, delta=args.delta,
-                      seed=args.seed, tun=tun)
+                      seed=args.seed)
 
 
-def _cmd_gen(args, tun: Tunables) -> int:
+def _cmd_gen(args) -> int:
     spec = _instance_from_args(args)
     a, b, spectrum = gen_instance(spec)
     prefix = args.out or f"{args.kind}-n{args.n}-seed{args.seed}"
@@ -153,29 +150,29 @@ def _cmd_gen(args, tun: Tunables) -> int:
     return 0
 
 
-def _cmd_solve(args, tun: Tunables) -> int:
+def _cmd_solve(args) -> int:
     a = read_matrix(args.matrix, sym="spd" if args.spd else "general")
     b = read_vector(args.rhs) if args.rhs else np.ones(a.rows)
     if args.method in ("msp-psd", "plain-lanczos") and a.sym != "spd":
         # A plain .mtx carries no definiteness promise; symmetric inputs are
         # accepted for the PSD-path methods once the handle checks symmetry.
         a = MatrixHandle(a.raw(), sym="spd")
-    rep = _run_method(args.method, a, b, args, tun)
+    rep = _run_method(args.method, a, b, args)
     _emit(rep.to_json(include_solution=not args.no_solution), args.json_out)
     return 0 if rep.converged else 2
 
 
-def _cmd_bench(args, tun: Tunables) -> int:
+def _cmd_bench(args) -> int:
     spec = _instance_from_args(args)
     a, b, _ = gen_instance(spec)
-    rep = _run_method(args.method, a, b, args, tun)
+    rep = _run_method(args.method, a, b, args)
     payload = rep.to_dict(include_solution=False)
     payload["instance"] = {k: v for k, v in asdict(spec).items() if v is not None}
     _emit(json.dumps(payload, indent=2), args.json_out)
     return 0 if rep.converged else 2
 
 
-def _cmd_compare(args, tun: Tunables) -> int:
+def _cmd_compare(args) -> int:
     spec = _instance_from_args(args)
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     targets = {"eps": args.eps, "lam": args.lam, "delta": args.delta,
@@ -184,7 +181,7 @@ def _cmd_compare(args, tun: Tunables) -> int:
         targets["l"] = args.l
     report = run_compare(spec, solvers, targets,
                          warmup_runs=args.warmup_runs,
-                         threads=args.threads, tun=tun)
+                         threads=args.threads)
     print(report.table())
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -194,7 +191,7 @@ def _cmd_compare(args, tun: Tunables) -> int:
     return 0 if report.all_converged else 2
 
 
-def _selftest_checks(tun: Tunables):
+def _selftest_checks():
     """Yield (name, callable) pairs; a callable raises to fail."""
 
     def matvec_oracle():
@@ -234,7 +231,7 @@ def _selftest_checks(tun: Tunables):
         vals = np.concatenate([100 * np.ones(5), np.linspace(1, 2, 55)])
         a = (q * vals) @ q.T
         a = 0.5 * (a + a.T)
-        pre = build_nystrom_psd(a, l=12, lam=0.5, delta=0.01, seed=1, tun=tun)
+        pre = build_nystrom_psd(a, l=12, lam=0.5, delta=0.01, seed=1)
         r = rng.standard_normal(60)
         # The formula must invert M = C W_j^{-1} C^T + lt*I exactly.
         c = pre.C.to_dense()
@@ -255,7 +252,7 @@ def _selftest_checks(tun: Tunables):
         spec = InstanceSpec("hidden-rotation", n=40, seed=2, i=3, j=17)
         a, b, _ = gen_instance(spec)
         cfg = GeneralSolveConfig(l=8, lam=0.0, eps=1e-8, seed=0)
-        rep = solve_normal(a, a.rmatvec(b), cfg, tun=tun)
+        rep = solve_normal(a, a.rmatvec(b), cfg)
         x_star = hidden_rotation_solution(40, 3, 17)
         err = np.linalg.norm(rep.x - x_star) / np.linalg.norm(x_star)
         assert rep.converged, f"status {rep.status}"
@@ -264,7 +261,7 @@ def _selftest_checks(tun: Tunables):
     def psd_klarge():
         spec = InstanceSpec("k-large-psd", n=192, k=8, ratio=1e4, seed=4)
         a, b, _ = gen_instance(spec)
-        rep = solve_psd(a, b, PsdSolveConfig(l=24, lam=0.0, eps=1e-8, seed=0), tun=tun)
+        rep = solve_psd(a, b, PsdSolveConfig(l=24, lam=0.0, eps=1e-8, seed=0))
         resid = np.linalg.norm(b - a.matvec(rep.x)) / np.linalg.norm(b)
         assert rep.converged, f"status {rep.status}"
         assert resid <= 1e-8, f"residual {resid:.2e}"
@@ -291,9 +288,9 @@ def _selftest_checks(tun: Tunables):
     yield "hutchinson-trace-bounds", trace_probe
 
 
-def _cmd_selftest(args, tun: Tunables) -> int:
+def _cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks(tun):
+    for name, check in _selftest_checks():
         try:
             check()
         except Exception as exc:  # report every failure, keep going
@@ -315,14 +312,6 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    tun = DEFAULT
-    if args.config:
-        try:
-            tun = Tunables.from_file(args.config)
-        except (OSError, MspError, ValueError) as exc:
-            print(f"mspsolve: bad config: {exc}", file=sys.stderr)
-            return 1
-
     with contextlib.ExitStack() as stack:
         if args.threads is not None:
             try:
@@ -335,7 +324,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         handler = {"gen": _cmd_gen, "solve": _cmd_solve, "bench": _cmd_bench,
                    "compare": _cmd_compare, "selftest": _cmd_selftest}[args.command]
         try:
-            return handler(args, tun)
+            return handler(args)
         except (MspError, OSError, ValueError) as exc:
             print(f"mspsolve: error: {exc}", file=sys.stderr)
             return 1

@@ -33,7 +33,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .config import DEFAULT, Tunables, sketch_nnz_per_column, sketch_rows
+from .config import (EPS_FLOOR, INNER_BUDGET_FACTOR, LAMBDA0_PROBES, OSE_EPSILON,
+                     SKETCH_ROW_FACTOR, sketch_nnz_per_column, sketch_rows)
 from .core import MatrixHandle, as_vector
 # power_method_norm is unused here, but tracers rebind it by this name.
 from .core import power_method_norm  # noqa: F401
@@ -80,7 +81,7 @@ def _frobenius_sq(a: MatrixHandle) -> float:
     return float(np.sum(raw**2))
 
 
-def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> GeneralMspState:
+def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     """Sketch A, form C and W, estimate lambda0, prefactor level 3.
 
     A_tilde = A S^T, C = A^T A_tilde and W = A_tilde^T A_tilde are block
@@ -104,8 +105,8 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     m, n = a.rows, a.cols
     l_eff, _ = clamp_rank(cfg.l, n)
 
-    s = sketch_rows(l_eff, n, cfg.delta, tun.sketch_row_factor)
-    gamma = min(sketch_nnz_per_column(l_eff, cfg.delta, tun), s)
+    s = sketch_rows(l_eff, n, cfg.delta, SKETCH_ROW_FACTOR)
+    gamma = min(sketch_nnz_per_column(l_eff, cfg.delta), s)
     emb = make_sparse_embedding(s, n, gamma, cfg.seed)
     a_tilde = sketch_apply_right(a, emb)  # m x s dense
     at = a_tilde.to_dense()
@@ -116,7 +117,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     if frob_sq == 0.0:
         raise DomainError("matrix is identically zero")
 
-    phi = make_ose(m, s, cfg.delta, tun.ose_epsilon, cfg.seed + _SEED_OSE, tun=tun)
+    phi = make_ose(m, s, cfg.delta, OSE_EPSILON, cfg.seed + _SEED_OSE)
     a_hat = phi.apply(at)
     gram_hat = a_hat.T @ a_hat
     gram_hat = 0.5 * (gram_hat + gram_hat.T)
@@ -129,13 +130,13 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     at_l = sketch_apply_right(a, emb_l).to_dense()
     w_l = at_l.T @ at_l
     w_l = 0.5 * (w_l + w_l.T)
-    l_chol = jittered_cholesky(w_l, tun, "probe Gram")[0]
+    l_chol = jittered_cholesky(w_l, "probe Gram")[0]
 
     def probe(z):
         az = a.matmat(z.T)
         return np.einsum("ij,ij->j", az, az), at_l.T @ az
 
-    lambda0 = lambda0_from_probes(probe, n, l_chol, l_eff, tun.lambda0_probes, cfg.seed,
+    lambda0 = lambda0_from_probes(probe, n, l_chol, l_eff, LAMBDA0_PROBES, cfg.seed,
                                   trace=frob_sq)
     lambda_tilde = cfg.lam + lambda0
 
@@ -149,7 +150,7 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
         return m3a_factor, m3b_factor
 
     _, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
-        w, tun, "sketched Gram", then=factor_m3
+        w, "sketched Gram", then=factor_m3
     )
     state = GeneralMspState(
         C=MatrixHandle(c_block),
@@ -174,20 +175,19 @@ def build_general(a, cfg: GeneralSolveConfig, *, tun: Tunables = DEFAULT) -> Gen
     return state
 
 
-def inner_lanczos(op, rhs, solve_m, t_max, tol, counters, level, tun) -> np.ndarray:
+def inner_lanczos(op, rhs, solve_m, t_max, tol, counters, level) -> np.ndarray:
     """One inner-level Krylov run to relative residual tol, tallied under `level`.
 
     A zero rhs returns zeros and counts no run.
     """
     if float(np.linalg.norm(rhs)) == 0.0:
         return np.zeros(rhs.shape[0])
-    y, ws = preconditioned_lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol,
-                                   check_every=tun.check_every, tun=tun)
+    y, ws = preconditioned_lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol)
     _tally(counters, level, ws.iterations, ws.status == "budget-exhausted")
     return y
 
 
-def gram_inner(pre, m2_solve, t_max, counters, tun) -> Callable:
+def gram_inner(pre, m2_solve, t_max, counters) -> Callable:
     """Level 2 for apply_minv_via_formula: (rhs, tol) -> y, Lanczos on the Gram system.
 
     The operator y -> C^T(C y) + lt*(W_j y) is two dense GEMVs on the stored
@@ -201,7 +201,7 @@ def gram_inner(pre, m2_solve, t_max, counters, tun) -> Callable:
         return c.T @ (c @ y) + lt * (w_j @ y)
 
     def inner(rhs, tol):
-        return inner_lanczos(g_op, rhs, m2_solve, t_max, tol, counters, "level2", tun)
+        return inner_lanczos(g_op, rhs, m2_solve, t_max, tol, counters, "level2")
 
     return inner
 
@@ -211,7 +211,6 @@ def solve_m2(
     r: np.ndarray,
     budgets: dict,
     counters: Optional[dict] = None,
-    tun: Tunables = DEFAULT,
 ) -> np.ndarray:
     """Apply M2^{-1} = (W_j^2 + lt*W_j)^{-1} = (W_j^{-1} - (W_j+lt*I)^{-1})/lt.
 
@@ -229,9 +228,8 @@ def solve_m2(
     def w_shift_op(y):
         return w_j @ y + lt * y
 
-    u = inner_lanczos(w_op, r, cho_apply(state.m3a_factor), t3, eps2, counters, "level3a", tun)
-    v = inner_lanczos(w_shift_op, r, cho_apply(state.m3b_factor), t3, eps2, counters, "level3b",
-                      tun)
+    u = inner_lanczos(w_op, r, cho_apply(state.m3a_factor), t3, eps2, counters, "level3a")
+    v = inner_lanczos(w_shift_op, r, cho_apply(state.m3b_factor), t3, eps2, counters, "level3b")
     return (u - v) / lt
 
 
@@ -240,7 +238,6 @@ def solve_m1_general(
     r: np.ndarray,
     budgets: dict,
     counters: Optional[dict] = None,
-    tun: Tunables = DEFAULT,
 ) -> np.ndarray:
     """Approximate M^{-1} r through the inversion formula on the stored C.
 
@@ -249,9 +246,9 @@ def solve_m1_general(
     then w = (r - C y) / lt.  No product with A is made.
     """
     def m2_solve(rr):
-        return solve_m2(state, rr, budgets, counters, tun)
+        return solve_m2(state, rr, budgets, counters)
 
-    inner = gram_inner(state, m2_solve, budgets["t2"], counters, tun)
+    inner = gram_inner(state, m2_solve, budgets["t2"], counters)
     return apply_minv_via_formula(state, r, inner, budgets["eps1"])
 
 
@@ -261,7 +258,6 @@ def solve_normal(
     cfg: GeneralSolveConfig,
     *,
     state: Optional[GeneralMspState] = None,
-    tun: Tunables = DEFAULT,
     trace: Optional[Callable[[dict], None]] = None,
 ) -> SolveReport:
     """Solve (A^T A + lam*I) x = c to relative energy-norm error eps.
@@ -288,19 +284,19 @@ def solve_normal(
     def level2_for(state, kappa_mat):
         # Inner targets cascade from kappa_mat: eps0 for SolveM1, eps1 for
         # level 2 (budget t2), eps2 for level 3 (budget t3).
-        eps0 = max(tun.eps_floor, cfg.eps / (kappa_mat * a.cols))
-        eps1 = max(tun.eps_floor, eps0 / kappa_mat**1.5)
-        eps2 = max(tun.eps_floor, eps0 / (4.0 * kappa_mat * cfg.l))
+        eps0 = max(EPS_FLOOR, cfg.eps / (kappa_mat * a.cols))
+        eps1 = max(EPS_FLOOR, eps0 / kappa_mat**1.5)
+        eps2 = max(EPS_FLOOR, eps0 / (4.0 * kappa_mat * cfg.l))
         budgets = {
-            "t2": int(math.ceil(tun.inner_budget_factor
+            "t2": int(math.ceil(INNER_BUDGET_FACTOR
                                 * math.log(max(kappa_mat / eps1, math.e)))),
-            "t3": int(math.ceil(tun.inner_budget_factor
+            "t3": int(math.ceil(INNER_BUDGET_FACTOR
                                 * math.log(max(9.0 * cfg.l / eps2, math.e)))),
             "eps1": eps1, "eps2": eps2, "eps0": eps0,
         }
 
         def solve_m(r):
-            return solve_m1_general(state, r, budgets, counters, tun)
+            return solve_m1_general(state, r, budgets, counters)
 
         return solve_m, budgets
 
@@ -309,8 +305,8 @@ def solve_normal(
         return {"inner_budget_exhausted": exhausted} if exhausted else {}
 
     return solve_level1(
-        "msp-general", gram_op, c, cfg, state, lambda: build_general(a, cfg, tun=tun),
-        level2_for, counters, path_diagnostics, products=2, trace=trace, tun=tun,
+        "msp-general", gram_op, c, cfg, state, lambda: build_general(a, cfg),
+        level2_for, counters, path_diagnostics, products=2, trace=trace,
     )
 
 
@@ -318,14 +314,12 @@ def solve_normal_given_gram(
     g,
     c: np.ndarray,
     cfg: GeneralSolveConfig,
-    *,
-    tun: Tunables = DEFAULT,
 ) -> SolveReport:
     """Variant for callers holding A^T A itself: routes to the PSD solver.
 
     The Gram matrix is symmetric PSD, so the two-level path applies verbatim
     and achieves the same guarantee without access to A.
     """
-    report = solve_psd(g, c, cfg, tun=tun)
+    report = solve_psd(g, c, cfg)
     report.method = "msp-general-gram"
     return report

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT, Tunables
+from .config import BREAKDOWN_RTOL, CHECK_EVERY
 from .core import as_vector, operator_of
 from .errors import BreakdownError, DomainError, SizeGuardError
 
@@ -63,17 +63,6 @@ class TridiagonalMatrix:
         for k in range(t - 1):
             m[k, k + 1] = m[k + 1, k] = self.betas[k]
         return m
-
-
-@dataclass(eq=False)
-class SolveMContract:
-    """r -> approximate M^{-1} r with declared relative M-norm error eps0."""
-
-    apply: Operator
-    eps0: float
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.apply(r)
 
 
 def tridiag_solve_e1(tri: TridiagonalMatrix, scale: float) -> np.ndarray:
@@ -166,9 +155,8 @@ def preconditioned_lanczos(
     solve_m,
     t_max: int,
     residual_target: Optional[float] = None,
-    check_every: int = 10,
+    check_every: int = CHECK_EVERY,
     trace: Optional[Callable[[dict], None]] = None,
-    tun: Tunables = DEFAULT,
     retarget: Optional[Tuple[int, Callable[[TridiagonalMatrix], Tuple[int, float]]]] = None,
 ) -> Tuple[np.ndarray, LanczosWorkspace]:
     """Run the left-preconditioned Lanczos iteration for A x = b.
@@ -195,7 +183,7 @@ def preconditioned_lanczos(
     the recurrence-to-true residual gap being the float floor (Greenbaum
     1997), else "stagnation"), "breakdown" (an inner product that must be
     nonnegative came out negative beyond tolerance, returning x_i; or
-    "zero-pivot", |d_i| <= breakdown_rtol*||u_i||*||qbar_i|| with T_i
+    "zero-pivot", |d_i| <= BREAKDOWN_RTOL*||u_i||*||qbar_i|| with T_i
     numerically singular, returning x_{i-1}).  Neither can happen for PSD A
     and M.
     """
@@ -215,7 +203,7 @@ def preconditioned_lanczos(
 
     w_bar0 = as_vector(solve_m(b), n)
     ip0 = float(b @ w_bar0)
-    tol0 = tun.breakdown_rtol * b_norm * float(np.linalg.norm(w_bar0))
+    tol0 = BREAKDOWN_RTOL * b_norm * float(np.linalg.norm(w_bar0))
     if ip0 <= tol0:
         ws = LanczosWorkspace(
             basis=[], n=n, z_prime=0.0, tridiag=None, status="breakdown",
@@ -252,7 +240,7 @@ def preconditioned_lanczos(
         alphas.append(alpha)
         lower = beta / pivot
         pivot = alpha - beta * lower
-        if abs(pivot) <= tun.breakdown_rtol * float(np.linalg.norm(u) * np.linalg.norm(q_bar)):
+        if abs(pivot) <= BREAKDOWN_RTOL * float(np.linalg.norm(u) * np.linalg.norm(q_bar)):
             status = "breakdown"
             stop_reason = "zero-pivot"
             if trace:
@@ -266,7 +254,7 @@ def preconditioned_lanczos(
         w_bar = solve_m(w)
         ip = float(w @ w_bar)
         w_norm = float(np.linalg.norm(w))
-        tol_i = tun.breakdown_rtol * w_norm * float(np.linalg.norm(w_bar))
+        tol_i = BREAKDOWN_RTOL * w_norm * float(np.linalg.norm(w_bar))
 
         if ip < -tol_i:
             status = "breakdown"
@@ -339,7 +327,6 @@ def symmetric_lanczos_reference(
     b: np.ndarray,
     m_half_ops: Tuple[Operator, Operator],
     t: int,
-    tun: Tunables = DEFAULT,
 ) -> np.ndarray:
     """Plain Lanczos on M^{-1/2} A M^{-1/2}, mapped back through M^{-1/2}.
 
@@ -376,7 +363,7 @@ def symmetric_lanczos_reference(
         alphas.append(alpha)
         w = u - alpha * q
         beta_next = float(np.linalg.norm(w))
-        if beta_next <= tun.breakdown_rtol * max(abs(alpha), 1.0):
+        if beta_next <= BREAKDOWN_RTOL * max(abs(alpha), 1.0):
             break
         betas.append(beta_next)
         q_prev = q

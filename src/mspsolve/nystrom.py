@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT, Tunables, sketch_nnz_per_column, sketch_rows
+from .config import JITTER_INITIAL, JITTER_MAX, LAMBDA0_PROBES, sketch_nnz_per_column, sketch_rows
 from .core import MatrixHandle, as_vector
 from .errors import (
     DomainError,
@@ -46,7 +46,7 @@ _SEED_PROBE = 2
 _SEED_EST = 5
 
 # Row factor of the PSD path's sparse embedding, a third of the general
-# path's Tunables.sketch_row_factor.  There S must stay a subspace embedding;
+# path's config.SKETCH_ROW_FACTOR.  There S must stay a subspace embedding;
 # here it only feeds a Nystrom approximation whose level-2 system the build
 # factors exactly.  s = 281 (~4.4*l) at l = 64, delta = 0.01, where the
 # general factor gives 842.
@@ -147,10 +147,10 @@ def cho_apply(factor: tuple) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
+def jittered_cholesky(w: np.ndarray, what: str, then=None):
     """Lower Cholesky factor of W + jitter*I at the first jitter that works.
 
-    The jitter climbs from jitter_initial to jitter_max times tr(W)/s, x10 per
+    The jitter climbs from JITTER_INITIAL to JITTER_MAX times tr(W)/s, x10 per
     rung.  `then(w_j, jitter)` factors whatever must share the rung; its
     LinAlgError also moves to the next rung.  Returns (factor, w_j, jitter,
     then's result); factor is None when `then` is given, whose callers need
@@ -161,9 +161,9 @@ def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
     """
     s = w.shape[0]
     trace_w = float(np.trace(w))
-    rel = tun.jitter_initial
+    rel = JITTER_INITIAL
     reason = ""
-    while rel <= tun.jitter_max * (1 + 1e-9):
+    while rel <= JITTER_MAX * (1 + 1e-9):
         jitter = rel * trace_w / s
         w_j = w.copy()
         w_j[np.diag_indices_from(w_j)] += jitter
@@ -180,7 +180,7 @@ def jittered_cholesky(w: np.ndarray, tun: Tunables, what: str, then=None):
         rel *= 10.0
     raise SketchRankCollapse(
         f"{what} ({s}x{s}) failed Cholesky at every jitter level up to "
-        f"{tun.jitter_max:.1e}*tr(W)/s: {reason}"
+        f"{JITTER_MAX:.1e}*tr(W)/s: {reason}"
     )
 
 
@@ -242,7 +242,7 @@ def estimate_lambda0(
     return lambda0_from_probes(probe, c_mat.shape[0], w_factor, l, probes, seed)
 
 
-def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int, tun: Tunables):
+def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int):
     """l-row sketch pieces (C_l, chol factor of jittered W_l) for lambda0.
 
     The tail sum being estimated is sum_{i>l}, so the probe sketch must have
@@ -257,11 +257,11 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int, tun: Tunables):
         c_l_handle = MatrixHandle(_apply_to_columns(a, emb.matrix().T.toarray()))
     w_raw = sketch_apply_left(emb, c_l_handle).to_dense()
     w_l = 0.5 * (w_raw + w_raw.T)
-    chol = jittered_cholesky(w_l, tun, "probe W")[0]
+    chol = jittered_cholesky(w_l, "probe W")[0]
     return c_l_handle.to_dense(), chol
 
 
-def psd_sketch(a, l: int, delta: float, seed: int, n: int, tun: Tunables):
+def psd_sketch(a, l: int, delta: float, seed: int, n: int):
     """(C = A S^T, W = S C symmetrized, gamma) for PSD A (n x n).
 
     S is the sparse embedding with s = min(n, ceil(0.5*l*ln(max(l/delta, e))))
@@ -274,7 +274,7 @@ def psd_sketch(a, l: int, delta: float, seed: int, n: int, tun: Tunables):
     if not (math.log(n) < l < n):
         raise DomainError(f"rank parameter must satisfy log n < l < n, got l={l}, n={n}")
     s = sketch_rows(l, n, delta, _PSD_ROW_FACTOR)
-    gamma = min(sketch_nnz_per_column(l, delta, tun), s)
+    gamma = min(sketch_nnz_per_column(l, delta), s)
     emb = make_sparse_embedding(s, n, gamma, seed)
     if isinstance(a, MatrixHandle):
         c_handle = sketch_apply_right(a, emb)
@@ -292,17 +292,15 @@ def build_nystrom_psd(
     seed: int,
     *,
     n: Optional[int] = None,
-    probes: Optional[int] = None,
     exact_tail_sum: Optional[float] = None,
-    tun: Tunables = DEFAULT,
 ) -> NystromPreconditioner:
     """Build the two-level Nystrom preconditioner for PSD A.
 
     Sketches C = A S^T and W = S C (psd_sketch), estimates lambda0 from a
-    separate l-row probe sketch (or uses (2/l)*exact_tail_sum when the exact
-    tail is supplied, e.g. in oracle-mode tests), picks the smallest jitter
-    that makes W pass Cholesky, and prefactors the level-2 matrix
-    M2 = C^T C + lt*W_j.
+    separate l-row sketch and LAMBDA0_PROBES probes (or uses
+    (2/l)*exact_tail_sum when the exact tail is supplied, e.g. in
+    oracle-mode tests), picks the smallest jitter that makes W pass
+    Cholesky, and prefactors the level-2 matrix M2 = C^T C + lt*W_j.
 
     Every product with A is one block product, so the build streams a
     handle's A three times (S A, S_l A and the probe block; once with
@@ -321,7 +319,7 @@ def build_nystrom_psd(
         raise DomainError("operator-only A needs an explicit dimension n")
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
-    c_handle, w, gamma = psd_sketch(a, l, delta, seed, n, tun)
+    c_handle, w, gamma = psd_sketch(a, l, delta, seed, n)
     c = c_handle.to_dense()
 
     def passes(cols):
@@ -332,10 +330,9 @@ def build_nystrom_psd(
     if exact_tail_sum is not None:
         lambda0 = (2.0 / l) * max(float(exact_tail_sum), 0.0)
     else:
-        probes = probes if probes is not None else tun.lambda0_probes
-        c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed, tun)
-        lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, probes, seed)
-        build_passes += passes(l) + passes(probes)
+        c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed)
+        lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, LAMBDA0_PROBES, seed)
+        build_passes += passes(l) + passes(LAMBDA0_PROBES)
     lambda_tilde = lam + lambda0
     if lambda_tilde <= 0.0:
         raise DomainError(
@@ -362,7 +359,7 @@ def build_nystrom_psd(
             np.fill_diagonal(m2, g_diag + lambda_tilde * w_j.diagonal())
         return scipy.linalg.cho_factor(m2.T, lower=True, overwrite_a=True, check_finite=False)
 
-    _, w_j, jitter, inner = jittered_cholesky(w, tun, "W", then=factor_m2)
+    _, w_j, jitter, inner = jittered_cholesky(w, "W", then=factor_m2)
     pre = NystromPreconditioner(
         C=c_handle,
         W=MatrixHandle(w, sym="spd"),

@@ -7,7 +7,7 @@ prefactors that s x s matrix itself, M2 = C^T C + lt*W_j, so level 2 is one
 exact direct solve through the factor.
 
 The iteration budget is derived at run time.  Level 1 is one Lanczos run;
-at step Tunables.warmup_iters its own T supplies Ritz values, whose spread
+at step WARMUP_ITERS its own T supplies Ritz values, whose spread
 (inflated x2) estimates the preconditioned condition number.  That sets
 t_max and the residual target that certifies the energy-norm error
 contract, and the run continues from its own state.  Trivially easy
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT, Tunables
+from .config import LAMBDA0_PROBES, POWER_ITERS, RITZ_INFLATION, T_FACTOR, WARMUP_ITERS
 from .core import MatrixHandle, as_vector, operator_of, power_method_norm
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos, ritz_values
@@ -40,7 +40,7 @@ class PsdSolveConfig:
     """Knobs for one PSD solve; eps is the target relative energy-norm error.
 
     t_max_override replaces the Ritz-derived cap on the level-1 run's total
-    steps.  Like that cap, it is raised to Tunables.warmup_iters when smaller
+    steps.  Like that cap, it is raised to WARMUP_ITERS when smaller
     and capped at 2n.
     """
 
@@ -71,7 +71,7 @@ def clamp_rank(l: int, n: int) -> tuple:
     return l_eff, (l_eff != l)
 
 
-def _ritz_kappa(tri, tun: Tunables) -> Optional[float]:
+def _ritz_kappa(tri) -> Optional[float]:
     """Preconditioned condition estimate from a run's tridiagonal block."""
     if tri is None:
         return None
@@ -80,7 +80,7 @@ def _ritz_kappa(tri, tun: Tunables) -> Optional[float]:
     if tmax <= 0.0:
         return None
     tmin = max(float(theta[0]), 1e-14 * tmax)
-    return tun.ritz_inflation * tmax / tmin
+    return RITZ_INFLATION * tmax / tmin
 
 
 def _tally(counters: Optional[dict], level: str, steps: int, exhausted: bool = False) -> None:
@@ -122,18 +122,17 @@ def two_phase_lanczos(
     *,
     t_max_override: Optional[int] = None,
     trace: Optional[Callable[[dict], None]] = None,
-    tun: Tunables = DEFAULT,
 ) -> tuple:
     """One Lanczos run, budgeted from its own Ritz values: the scheme every solver shares.
 
-    Up to step Tunables.warmup_iters the run aims at warmup_target (at none
+    Up to step WARMUP_ITERS the run aims at warmup_target (at none
     when it is None, so only a clean break ends it early); easy systems
     converge right there.  At that step its own T gives the Ritz
     values theta and kappa (inflated, kappa0 if they give none), which size
     t_max, the cap on the run's total steps, and main_target(theta, kappa)
     gives the residual target the run then continues to (and its
     diagnostics).  t_max_override replaces the Ritz-derived t_max; either is
-    raised to warmup_iters when smaller and capped at 2n.
+    raised to WARMUP_ITERS when smaller and capped at 2n.
 
     Returns (x, workspace, kappa, diagnostics of the budget).  kappa is the
     value t_max was sized with, or the raw Ritz estimate of the final T
@@ -143,22 +142,21 @@ def two_phase_lanczos(
 
     def retarget(tri):
         theta = ritz_values(tri)
-        kappa = _ritz_kappa(tri, tun) or kappa0
+        kappa = _ritz_kappa(tri) or kappa0
         target, target_diag = main_target(theta, kappa)
         t_max = t_max_override or int(
-            math.ceil(tun.t_factor * math.sqrt(kappa) * math.log(max(kappa / eps, math.e)))
+            math.ceil(T_FACTOR * math.sqrt(kappa) * math.log(max(kappa / eps, math.e)))
         )
-        t_max = min(max(t_max, tun.warmup_iters), 2 * b.shape[0])
+        t_max = min(max(t_max, WARMUP_ITERS), 2 * b.shape[0])
         read.update(kappa=kappa, diag={"t_max": t_max, **target_diag})
         return t_max, target
 
     x, ws = preconditioned_lanczos(
-        b_op, b, solve_m, t_max=tun.warmup_iters, residual_target=warmup_target,
-        check_every=tun.check_every, trace=trace, tun=tun,
-        retarget=(tun.warmup_iters, retarget),
+        b_op, b, solve_m, t_max=WARMUP_ITERS, residual_target=warmup_target, trace=trace,
+        retarget=(WARMUP_ITERS, retarget),
     )
     if not read:
-        return x, ws, _ritz_kappa(ws.tridiag, tun), {}
+        return x, ws, _ritz_kappa(ws.tridiag), {}
     return x, ws, read["kappa"], read["diag"]
 
 
@@ -175,7 +173,6 @@ def solve_level1(
     *,
     products: int,
     trace: Optional[Callable[[dict], None]],
-    tun: Tunables,
 ) -> SolveReport:
     """Level 1 of both msp paths: Lanczos on B + lam*I preconditioned by `pre`.
 
@@ -217,7 +214,7 @@ def solve_level1(
         pre = build()
     power_ran = pre.pm_norm is None
     if power_ran:
-        pre.pm_norm = power_method_norm(op, n, iters=tun.power_iters, seed=cfg.seed + 3)
+        pre.pm_norm = power_method_norm(op, n, iters=POWER_ITERS, seed=cfg.seed + 3)
     pm, lt = pre.pm_norm, pre.lambda_tilde
     kappa_mat = (pm + lt) / lt  # upper estimate of cond(M): B_nys <= B
     solve_m, budget_diag = level2_for(pre, kappa_mat)
@@ -229,20 +226,20 @@ def solve_level1(
         # lam_max, a relative residual of eps/sqrt(kappa_b) certifies energy
         # error eps.
         theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
-        kappa_b = max((1.5 * pm + lam) / max(theta_min * lt / tun.ritz_inflation, 1e-300), 1.0)
+        kappa_b = max((1.5 * pm + lam) / max(theta_min * lt / RITZ_INFLATION, 1e-300), 1.0)
         target = max(cfg.eps / math.sqrt(kappa_b), 1e-15)
         return target, {"kappa_b_estimate": kappa_b, "residual_target": target}
 
     x, ws, kappa_m, read_diag = two_phase_lanczos(
         b_op, b, solve_m, kappa_mat, cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
-        main_target, cfg.eps, t_max_override=cfg.t_max_override, trace=trace, tun=tun,
+        main_target, cfg.eps, t_max_override=cfg.t_max_override, trace=trace,
     )
     pre.kappa_hat = kappa_m
     return report(
-        {"level1": ws.iterations, "warmup": min(ws.iterations, tun.warmup_iters)},
+        {"level1": ws.iterations, "warmup": min(ws.iterations, WARMUP_ITERS)},
         x=x, status=ws.status, stop_reason=ws.stop_reason,
-        matvecs=products * (ws.n_matvec + (tun.power_iters if power_ran else 0))
-        + (tun.lambda0_probes if built else 0),
+        matvecs=products * (ws.n_matvec + (POWER_ITERS if power_ran else 0))
+        + (LAMBDA0_PROBES if built else 0),
         residual_history=[[i, r] for i, r in ws.checkpoints],
         kappa_m_estimate=kappa_m,
         diagnostics={
@@ -264,7 +261,6 @@ def solve_psd(
     b: np.ndarray,
     cfg: PsdSolveConfig,
     *,
-    tun: Tunables = DEFAULT,
     trace: Optional[Callable[[dict], None]] = None,
     pre: Optional[NystromPreconditioner] = None,
 ) -> SolveReport:
@@ -285,9 +281,7 @@ def solve_psd(
 
     def build():
         l_eff = clamp_rank(cfg.l, n)[0]
-        return build_nystrom_psd(
-            a, l_eff, cfg.lam, cfg.delta, cfg.seed, n=n, probes=tun.lambda0_probes, tun=tun,
-        )
+        return build_nystrom_psd(a, l_eff, cfg.lam, cfg.delta, cfg.seed, n=n)
 
     def level2_for(pre, kappa_mat):
         def solve_m(r):
@@ -306,5 +300,5 @@ def solve_psd(
 
     return solve_level1(
         "msp-psd", operator_of(a), b, cfg, pre, build, level2_for, counters, path_diagnostics,
-        products=1, trace=trace, tun=tun,
+        products=1, trace=trace,
     )

@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .config import DEFAULT, Tunables, ose_rows
+from .config import ose_rows
 from .core import MatrixHandle
 from .errors import DimensionMismatch, DomainError
 
@@ -172,7 +172,6 @@ def make_ose(
     delta: float,
     epsilon: float,
     seed: int,
-    tun: Tunables = DEFAULT,
 ) -> OseSketch:
     """Size and draw a subspace embedding for d-dimensional subspaces of R^n.
 
@@ -186,7 +185,7 @@ def make_ose(
         raise DomainError(f"epsilon must be in (0, 1/2], got {epsilon}")
     if not (0.0 < delta < 0.5):
         raise DomainError(f"delta must be in (0, 1/2), got {delta}")
-    phi = ose_rows(n, d, delta, epsilon, tun)
+    phi = ose_rows(n, d, delta, epsilon)
     if phi >= n:
         return OseSketch(phi=n, n=n, epsilon=epsilon, embedding=None)
     gamma = max(2, math.ceil(math.log(d) - math.log(delta)))

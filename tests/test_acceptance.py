@@ -15,7 +15,6 @@ import scipy.linalg
 import oracles
 from mspsolve.apps import solve_krr, kernel_matrix, KernelSpec, solve_least_squares
 from mspsolve.bench import solve_plain_lanczos
-from mspsolve.config import DEFAULT
 from mspsolve.core import MatrixHandle, effective_dimension, SpectrumSummary
 from mspsolve.general import GeneralSolveConfig, build_general, solve_normal
 from mspsolve.instances import InstanceSpec, gen_instance, hidden_rotation_solution
@@ -26,9 +25,6 @@ from mspsolve.lanczos import (
 from mspsolve.nystrom import build_nystrom_psd, exact_minv_reference
 from mspsolve.psd import PsdSolveConfig, solve_psd
 from mspsolve.sketch import make_ose, make_sparse_embedding
-
-FINE = DEFAULT.override({"check_every": 1})
-
 
 def _line(num, ok, detail):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'} — {detail}", flush=True)
@@ -395,7 +391,7 @@ def test_criterion_08_krr_effective_dimension():
         k = kernel_matrix(KernelSpec("rbf", pts, bandwidth=bandwidth))
         y = np.random.default_rng(2).standard_normal(n)
         lam = lam500 * (n / 500.0)
-        rep = solve_krr(k, y, lam, eps=1e-6, seed=0, tun=FINE)
+        rep = solve_krr(k, y, lam, eps=1e-6, seed=0)
         assert rep.converged, f"n={n}: {rep.status}"
         assert rep.method == "krr", f"n={n}: unexpected path {rep.method}"
         k_lam = k.to_dense() + lam * np.eye(n)

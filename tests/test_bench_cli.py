@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import mspsolve.bench
 from mspsolve.bench import SOLVERS, run_compare, solve_plain_lanczos
 from mspsolve.cli import cli_main
 from mspsolve.core import MatrixHandle
@@ -113,6 +114,34 @@ def test_compare_unknown_solver_rejected():
     a = MatrixHandle(np.eye(8), sym="spd")
     with pytest.raises(DomainError):
         run_compare((a, np.ones(8)), ["newton-raphson"], warmup_runs=0)
+
+
+@pytest.mark.parametrize("solvers, warmup_runs", [
+    ([], 0),
+    (["plain-lanczos", "newton-raphson"], 1),
+    (["plain-lanczos", "plain-lanczos"], 0),
+    (["plain-lanczos"], -1),
+])
+def test_compare_rejects_bad_input_before_any_solve(monkeypatch, solvers, warmup_runs):
+    calls = []
+    monkeypatch.setattr(mspsolve.bench, "run_solver", lambda *a, **k: calls.append(a))
+    a = MatrixHandle(np.eye(8), sym="spd")
+    with pytest.raises(DomainError):
+        run_compare((a, np.ones(8)), solvers, warmup_runs=warmup_runs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--solvers", ""],
+    ["--solvers", "plain-lanczos,foo"],
+    ["--solvers", "plain-lanczos", "--warmup-runs", "-1"],
+])
+def test_cli_compare_bad_input_exits_1(capsys, flags):
+    code = cli_main(["compare", "--kind", "k-large-psd", "--n", "64", "--k", "4", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "mspsolve: error:" in captured.err
 
 
 def test_compare_runs_are_reproducible():
@@ -261,22 +290,12 @@ def test_cli_bench_subcommand(capsys):
     assert payload["instance"]["generator"] == "k-large-psd"
 
 
-def test_cli_config_file(tmp_path, capsys):
-    n = 48
-    a = flat_tail_spd(n, seed=4)
-    mtx = tmp_path / "a.mtx"
-    write_mtx(mtx, a)
-    good = tmp_path / "good.cfg"
-    good.write_text("warmup_iters = 5\ncheck_every = 5\n")
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_knob = 1\n")
-
-    assert cli_main(["solve", "--matrix", str(mtx), "--spd", "--l", "12",
-                     "--config", str(good)]) == 0
-    capsys.readouterr()
-    assert cli_main(["solve", "--matrix", str(mtx), "--spd", "--l", "12",
-                     "--config", str(bad)]) == 1
-    assert "bad config" in capsys.readouterr().err
+def test_cli_has_no_config_flag(capsys):
+    # Solver constants live in mspsolve.config; no flag or file overrides them.
+    assert cli_main(["--config", "f", "selftest"]) == 1
+    assert "invalid choice: 'f'" in capsys.readouterr().err
+    assert cli_main(["selftest", "--config", "f"]) == 1
+    assert "unrecognized arguments: --config f" in capsys.readouterr().err
 
 
 def test_cli_selftest_passes(capsys):

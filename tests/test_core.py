@@ -27,6 +27,13 @@ import oracles
 # -- matvec -------------------------------------------------------------------
 
 
+def test_every_exported_name_resolves():
+    import mspsolve
+
+    missing = [name for name in mspsolve.__all__ if not hasattr(mspsolve, name)]
+    assert missing == []
+
+
 def test_matvec_identity():
     assert np.array_equal(matvec(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 

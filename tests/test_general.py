@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import mspsolve.general
 from mspsolve.bench import run_compare
-from mspsolve.config import DEFAULT
+from mspsolve.config import WARMUP_ITERS
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.general import (
@@ -83,7 +83,7 @@ def test_zero_matrix_rejected():
         build_general(np.zeros((40, 30)), GeneralSolveConfig(l=6))
 
 
-@pytest.mark.parametrize("override, t_max", [(2, DEFAULT.warmup_iters), (13, 13)])
+@pytest.mark.parametrize("override, t_max", [(2, WARMUP_ITERS), (13, 13)])
 def test_t_max_override_caps_the_main_run(override, t_max):
     # A decaying spectrum with no flat tail at a tight eps needs far more than
     # t_max iterations.  Overrides below the warmup length are raised to it.

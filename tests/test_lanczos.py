@@ -6,7 +6,6 @@ import pytest
 from mspsolve.errors import BreakdownError, DomainError, SizeGuardError
 from mspsolve.lanczos import (
     LanczosWorkspace,
-    SolveMContract,
     TridiagonalMatrix,
     preconditioned_lanczos,
     ritz_values,
@@ -136,14 +135,6 @@ def test_deterministic_repeat():
     assert np.array_equal(x1, x2)
     assert ws1.iterations == ws2.iterations
     assert ws1.checkpoints == ws2.checkpoints
-
-
-def test_solve_m_contract_object_accepted():
-    rng = np.random.default_rng(7)
-    b = rng.standard_normal(20)
-    contract = SolveMContract(apply=lambda r: r, eps0=0.0)
-    x, ws = preconditioned_lanczos(np.eye(20), b, contract, t_max=5)
-    assert np.linalg.norm(x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 # -- iteration-count scaling -------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mspsolve.apps import solve_krr
-from mspsolve.config import DEFAULT, sketch_nnz_per_column, sketch_rows
+from mspsolve.config import (GAMMA_MAX, JITTER_INITIAL, LAMBDA0_PROBES, sketch_nnz_per_column,
+                             sketch_rows)
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import (
     DomainError,
@@ -130,7 +131,7 @@ def test_identity_tail_estimate_near_n_minus_l():
     eye = MatrixHandle(np.eye(n), sym="spd")
     hits = 0
     for seed in range(10):
-        c_l, w_chol = tail_probe_factor(eye, l, n, 4, seed, DEFAULT)
+        c_l, w_chol = tail_probe_factor(eye, l, n, 4, seed)
         lam0 = estimate_lambda0(eye, c_l, w_chol, l, 20, seed)
         tail = (l / 2.0) * lam0
         if abs(tail - (n - l)) <= 0.3 * (n - l):
@@ -143,8 +144,6 @@ def test_estimate_requires_probes():
     w_chol = scipy.linalg.cho_factor(np.eye(2), lower=True)
     with pytest.raises(DomainError):
         estimate_lambda0(np.eye(4), c, w_chol, 2, 0, 0)
-    with pytest.raises(DomainError):
-        build_nystrom_psd(np.eye(64), 8, 1.0, 0.01, 0, probes=0)
 
 
 def test_estimate_detects_broken_factor():
@@ -175,7 +174,7 @@ def per_probe_lambda0(probe, n, w_factor, l, probes, seed, trace=None):
 def test_block_lambda0_matches_per_probe_loop_on_a_handle():
     n, l, seed = 300, 20, 3
     a, _ = random_psd(n, seed=5)
-    c_l, w_chol = tail_probe_factor(MatrixHandle(a, sym="spd"), l, n, 4, seed, DEFAULT)
+    c_l, w_chol = tail_probe_factor(MatrixHandle(a, sym="spd"), l, n, 4, seed)
     got = estimate_lambda0(MatrixHandle(a, sym="spd"), c_l, w_chol, l, 20, seed)
     want = per_probe_lambda0(lambda z: (z @ (a @ z), c_l.T @ z), n, w_chol, l, 20, seed)
     assert got > 1e-6 * np.trace(a)
@@ -193,11 +192,11 @@ def test_block_lambda0_matches_per_probe_loop_on_an_operator():
 
     pre = build_nystrom_psd(op, l, 0.1, 0.01, seed, n=n)
     assert set(calls) == {(n,)}
-    assert len(calls) == pre.s + l + DEFAULT.lambda0_probes
+    assert len(calls) == pre.s + l + LAMBDA0_PROBES
     assert pre.diagnostics()["build_passes"] == len(calls)
-    c_l, w_chol = tail_probe_factor(op, l, n, pre.gamma, seed, DEFAULT)
+    c_l, w_chol = tail_probe_factor(op, l, n, pre.gamma, seed)
     want = per_probe_lambda0(lambda z: (z @ (a @ z), c_l.T @ z), n, w_chol, l,
-                             DEFAULT.lambda0_probes, seed)
+                             LAMBDA0_PROBES, seed)
     assert pre.lambda0 == pytest.approx(want, rel=1e-12)
 
 
@@ -209,13 +208,13 @@ def test_block_lambda0_matches_per_probe_loop_on_the_general_path():
     emb_l = make_sparse_embedding(state.l, 120, min(state.gamma, state.l), cfg.seed + _SEED_EST)
     at_l = sketch_apply_right(MatrixHandle(a), emb_l).to_dense()
     w_l = at_l.T @ at_l
-    w_chol = jittered_cholesky(0.5 * (w_l + w_l.T), DEFAULT, "W_l")[0]
+    w_chol = jittered_cholesky(0.5 * (w_l + w_l.T), "W_l")[0]
 
     def probe(z):
         az = a @ z
         return az @ az, at_l.T @ az
 
-    want = per_probe_lambda0(probe, 120, w_chol, state.l, DEFAULT.lambda0_probes, cfg.seed,
+    want = per_probe_lambda0(probe, 120, w_chol, state.l, LAMBDA0_PROBES, cfg.seed,
                              trace=np.sum(a**2))
     assert state.lambda0 == pytest.approx(want, rel=1e-12)
 
@@ -359,10 +358,10 @@ def test_build_rejects_delta_outside_open_half_interval(delta):
 
 def test_subnormal_delta_sizes_the_sketch_without_overflow():
     # l/delta overflows at delta = 5e-324; ln(l) - ln(delta) does not.
-    assert sketch_nnz_per_column(64, 5e-324, DEFAULT) == DEFAULT.gamma_max
+    assert sketch_nnz_per_column(64, 5e-324) == GAMMA_MAX
     assert sketch_rows(64, 1000, 5e-324, _PSD_ROW_FACTOR) == 1000
     pre = build_nystrom_psd(random_psd(120, 3)[0], l=16, lam=0.1, delta=5e-324, seed=0)
-    assert pre.gamma == DEFAULT.gamma_max
+    assert pre.gamma == GAMMA_MAX
 
 
 def test_operator_input_needs_dimension():
@@ -390,7 +389,7 @@ def test_failed_jitter_rungs_leave_no_exception_alive():
     finally:
         gc.enable()
     pre = rep.preconditioner
-    first_rung = DEFAULT.jitter_initial * np.trace(pre.W.to_dense()) / pre.s
+    first_rung = JITTER_INITIAL * np.trace(pre.W.to_dense()) / pre.s
     assert pre.jitter > 1.5 * first_rung
     assert alive == []
 
@@ -402,7 +401,7 @@ def test_jitter_ladder_factors_m2_as_formed_at_the_chosen_rung():
     delta, seed = 0.01, 0
     pre = build_nystrom_psd(k, 60, 1e-2, delta, seed)
     w = pre.W.to_dense()
-    first_rung = DEFAULT.jitter_initial * np.trace(w) / pre.s
+    first_rung = JITTER_INITIAL * np.trace(w) / pre.s
     assert pre.jitter > 1.5 * first_rung
     c = pre.C.to_dense()
 

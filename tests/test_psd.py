@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import mspsolve.psd
-from mspsolve.config import DEFAULT, ose_rows
+from mspsolve.config import LAMBDA0_PROBES, OSE_EPSILON, POWER_ITERS, WARMUP_ITERS, ose_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.nystrom import build_nystrom_psd
@@ -150,7 +150,7 @@ def test_one_level1_run_per_solve(monkeypatch):
     rep = solve_psd(a, rng.standard_normal(n), cfg, pre=pre)
     assert rep.converged
     assert rep.diagnostics["level2_solver"] == "cholesky"
-    assert rep.iterations["level1"] > DEFAULT.warmup_iters == rep.iterations["warmup"]
+    assert rep.iterations["level1"] > WARMUP_ITERS == rep.iterations["warmup"]
     assert len(runs) == 1
     # On a reused preconditioner every product with A is a level-1 step or
     # one residual check.
@@ -237,7 +237,7 @@ def test_level2_is_one_direct_solve_when_phi_would_sketch(monkeypatch):
     monkeypatch.setattr(mspsolve.psd, "preconditioned_lanczos", counting)
     rep = solve_psd(a, b, PsdSolveConfig(l=12, lam=0.1, seed=31))
     s = rep.preconditioner.s
-    assert ose_rows(n, s, 0.01, DEFAULT.ose_epsilon, DEFAULT) < n
+    assert ose_rows(n, s, 0.01, OSE_EPSILON) < n
     assert rep.diagnostics["level2_solver"] == "cholesky"
     assert rep.iterations["level2_total"] == rep.iterations["level2_runs"] > 0
     assert len(runs) == 1
@@ -266,7 +266,7 @@ def test_reused_preconditioner_caches_the_norm_estimate(monkeypatch):
     assert calls == []
     assert again.x.tobytes() == fresh.x.tobytes()
     # neither the lambda0 probes nor the power method ran again
-    assert again.matvecs == fresh.matvecs - DEFAULT.power_iters - DEFAULT.lambda0_probes
+    assert again.matvecs == fresh.matvecs - POWER_ITERS - LAMBDA0_PROBES
     assert again.iterations == fresh.iterations
 
 

@@ -18,7 +18,7 @@ from mspsolve import (
     sketch_apply_right,
 )
 from mspsolve import sketch
-from mspsolve.config import DEFAULT, ose_rows
+from mspsolve.config import OSE_EPSILON, ose_rows
 
 
 # -- construction -------------------------------------------------------------
@@ -242,8 +242,8 @@ def test_ose_identity_when_d_equals_n():
 
 
 def test_ose_row_count_scales_with_epsilon():
-    rows_half = ose_rows(100000, 50, 0.1, 0.5, DEFAULT)
-    rows_quarter = ose_rows(100000, 50, 0.1, 0.25, DEFAULT)
+    rows_half = ose_rows(100000, 50, 0.1, 0.5)
+    rows_quarter = ose_rows(100000, 50, 0.1, 0.25)
     assert rows_quarter == pytest.approx(4 * rows_half, rel=0.01)
 
 
@@ -258,7 +258,7 @@ def test_ose_parameter_domain():
 
 def test_ose_subnormal_delta_does_not_overflow():
     # 1/delta overflows at delta = 5e-324; -ln(delta) ~ 744.4 does not.
-    assert ose_rows(10**6, 50, 5e-324, 0.5, DEFAULT) == 12712
+    assert ose_rows(10**6, 50, 5e-324, 0.5) == 12712
     assert make_ose(2000, 50, 5e-324, 0.5, seed=0).is_identity
 
 
@@ -278,7 +278,7 @@ def test_ose_subspace_embedding_2000x50():
 
 def test_ose_subspace_embedding_default_sizing_rate():
     """sigma(Phi U) within 1 +/- eps for n=1024, d=20 in >= 90% of 50 seeds."""
-    eps = DEFAULT.ose_epsilon
+    eps = OSE_EPSILON
     rng = np.random.default_rng(77)
     u = np.linalg.qr(rng.standard_normal((1024, 20)))[0]
     hits = 0
