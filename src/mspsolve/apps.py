@@ -98,7 +98,7 @@ def _estimate_effective_dim(
     delta: float,
     seed: int,
     l_boot: int = 64,
-) -> Tuple[float, int]:
+) -> Tuple[float, int, np.ndarray]:
     """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom sketch of K.
 
     Only the sketch is formed (nystrom.psd_sketch): no lambda0 probes and no
@@ -107,7 +107,8 @@ def _estimate_effective_dim(
     rung of the jitter ladder that factors), and the estimate is
     sum mu/(mu+lam).  The sketch has resolved d_lambda when s = n or
     mu_min <= lam; otherwise l_boot doubles, at most twice, and n is returned,
-    which forces the dense fallback upstream.  Returns (estimate, retries).
+    which forces the dense fallback upstream.  Returns (estimate, retries,
+    mu ascending).
     """
     n = k.rows
     retries = 0
@@ -118,9 +119,9 @@ def _estimate_effective_dim(
         b = scipy.linalg.solve_triangular(chol, c.to_dense().T, lower=True, check_finite=False)
         mu = np.maximum(scipy.linalg.eigvalsh(b @ b.T, check_finite=False), 0.0)
         if c.cols == n or mu[0] <= lam:
-            return float(np.sum(mu / (mu + lam))), retries
+            return float(np.sum(mu / (mu + lam))), retries, mu
         if retries >= 2:
-            return float(n), retries
+            return float(n), retries, mu
         retries += 1
         l_boot *= 2
 
@@ -138,16 +139,22 @@ def solve_krr(
     Reads d_lambda off one Nystrom sketch of K, sets the sketch rank
     l ~ 2*d_lambda and runs the PSD solver once; a dense direct solve takes
     over when sketching cannot pay (d_hat > n/4) or the sketch is unresolved.
+    The read's Nystrom eigenvalues mu also set the preconditioner: K_nys <= K
+    gives mu_i <= lambda_i(K), so tr(K) - sum_{i<=l} mu_i bounds the tail
+    sum behind lambda0 from above, and mu_max stands in for ||K||.  The
+    final build therefore runs no lambda0 probes and no power method.
     """
     t_start = time.perf_counter()
     if lam <= 0.0:
         raise DomainError(f"ridge parameter must be positive, got {lam}")
+    if not (0.0 < eps < 1.0):
+        raise DomainError(f"eps must be in (0,1), got {eps}")
     if not isinstance(k, MatrixHandle):
         k = MatrixHandle(np.asarray(k, dtype=np.float64), sym="spd")
     y = as_vector(y, k.rows)
     n = k.rows
 
-    d_hat, retries = _estimate_effective_dim(k, lam, delta, seed)
+    d_hat, retries, mu = _estimate_effective_dim(k, lam, delta, seed)
 
     if d_hat > n / 4.0:
         reg = np.array(k.to_dense())
@@ -165,7 +172,12 @@ def solve_krr(
 
     l = clamp_rank(min(math.ceil(2.0 * d_hat), n // 2), n)[0]
     cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-    report = solve_psd(k, y, cfg)
+    # The diagonal gives tr(K) exactly, without densifying a CSR K; mu[-l:]
+    # is all of mu when l exceeds its length, and the bound still holds.
+    tail = float(k.raw().diagonal().sum()) - float(np.sum(mu[-l:]))
+    pre = nystrom.build_nystrom_psd(k, l, lam, delta, seed, tail_sum=tail)
+    pre.pm_norm = float(mu[-1])
+    report = solve_psd(k, y, cfg, pre=pre)
     report.method = "krr"
     report.wall_ms = (time.perf_counter() - t_start) * 1e3
     report.diagnostics["d_lambda_estimate"] = d_hat

@@ -6,9 +6,11 @@ C = A S^T and W = S A S^T through the regularized inversion formula
     M^{-1} = (1/lt) * (I - C (C^T C + lt*W)^{-1} C^T),      lt = lambda + lambda0,
 
 which never forms the rank-s approximation C W^{-1} C^T explicitly.  lambda0
-compensates for the spectral tail that rank l cannot capture: the target value
-(2/l) * sum_{i>l} lambda_i(A) is estimated stochastically since the spectrum
-is unavailable.
+compensates for the spectral tail that rank l cannot capture: its target value
+is (2/l) * sum_{i>l} lambda_i(A).  A caller holding Nystrom eigenvalues mu of
+A passes the bound tr(A) - sum_{i<=l} mu_i on that tail sum (kernel ridge
+regression reads mu off its d_lambda sketch); otherwise the tail is estimated
+stochastically from a separate l-row sketch.
 
 W is symmetrized and carries a small diagonal jitter chosen once at build
 time; the jittered W is then used consistently in every formula above, so the
@@ -75,7 +77,9 @@ class NystromPreconditioner:
     gamma: int
     seed: int
     kappa_hat: Optional[float] = None
-    pm_norm: Optional[float] = None  # cached ||B|| estimate, B = A or A^T A
+    # ||B|| estimate, B = A or A^T A: the power method's, or the top Nystrom
+    # eigenvalue of B that the caller already holds.
+    pm_norm: Optional[float] = None
     build_passes: int = 0  # passes over A the build made
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
     _exact_factor: Optional[tuple] = field(default=None, repr=False)
@@ -152,26 +156,31 @@ def jittered_cholesky(w: np.ndarray, what: str, then=None):
 
     The jitter climbs from JITTER_INITIAL to JITTER_MAX times tr(W)/s, x10 per
     rung.  `then(w_j, jitter)` factors whatever must share the rung; its
-    LinAlgError also moves to the next rung.  Returns (factor, w_j, jitter,
-    then's result); factor is None when `then` is given, whose callers need
-    W_j only, so it is freed before `then` allocates.  Raises
-    SketchRankCollapse naming `what` when no rung works.  Only the message of
-    a failed attempt is kept: holding the exception would keep its
-    traceback's frames, and their arrays, alive in a reference cycle.
+    LinAlgError also moves to the next rung.  Once W_j has factored and only
+    `then` failed, later rungs retry `then` alone: more diagonal jitter keeps
+    W_j positive definite, so W is factored once per ladder.  Returns
+    (factor, w_j, jitter, then's result); factor is None when `then` is
+    given, whose callers need W_j only, so it is freed before `then`
+    allocates.  Raises SketchRankCollapse naming `what` when no rung works.
+    Only the message of a failed attempt is kept: holding the exception
+    would keep its traceback's frames, and their arrays, alive in a
+    reference cycle.
     """
     s = w.shape[0]
     trace_w = float(np.trace(w))
     rel = JITTER_INITIAL
     reason = ""
+    w_factored = False
     while rel <= JITTER_MAX * (1 + 1e-9):
         jitter = rel * trace_w / s
         w_j = w.copy()
         w_j[np.diag_indices_from(w_j)] += jitter
         try:
-            factor = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
+            factor = None if w_factored else scipy.linalg.cho_factor(
+                w_j, lower=True, check_finite=False)
             extra = None
             if then is not None:
-                factor = None
+                factor, w_factored = None, True
                 extra = then(w_j, jitter)
         except scipy.linalg.LinAlgError as exc:
             reason = str(exc)
@@ -292,20 +301,22 @@ def build_nystrom_psd(
     seed: int,
     *,
     n: Optional[int] = None,
-    exact_tail_sum: Optional[float] = None,
+    tail_sum: Optional[float] = None,
 ) -> NystromPreconditioner:
     """Build the two-level Nystrom preconditioner for PSD A.
 
-    Sketches C = A S^T and W = S C (psd_sketch), estimates lambda0 from a
-    separate l-row sketch and LAMBDA0_PROBES probes (or uses
-    (2/l)*exact_tail_sum when the exact tail is supplied, e.g. in
-    oracle-mode tests), picks the smallest jitter that makes W pass
-    Cholesky, and prefactors the level-2 matrix M2 = C^T C + lt*W_j.
+    Sketches C = A S^T and W = S C (psd_sketch), sets lambda0 =
+    (2/l)*tail_sum when the caller supplies tail_sum, a value or upper bound
+    of sum_{i>l} lambda_i(A) (solve_krr's bound from its Nystrom eigenvalues,
+    the exact tail in oracle-mode tests), else estimates it from a separate
+    l-row sketch and LAMBDA0_PROBES probes, picks the smallest jitter that
+    makes W pass Cholesky, and prefactors the level-2 matrix
+    M2 = C^T C + lt*W_j.
 
     Every product with A is one block product, so the build streams a
     handle's A three times (S A, S_l A and the probe block; once with
-    exact_tail_sum).  An operator-only A is applied once per column; the
-    count is kept as `build_passes`.
+    tail_sum).  An operator-only A is applied once per column; the count is
+    kept as `build_passes`.
 
     Raises SketchRankCollapse if W cannot be factored even at the largest
     jitter — re-seeding is the caller's remedy.
@@ -327,8 +338,8 @@ def build_nystrom_psd(
 
     build_passes = passes(c_handle.cols)
 
-    if exact_tail_sum is not None:
-        lambda0 = (2.0 / l) * max(float(exact_tail_sum), 0.0)
+    if tail_sum is not None:
+        lambda0 = (2.0 / l) * max(float(tail_sum), 0.0)
     else:
         c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed)
         lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, LAMBDA0_PROBES, seed)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mspsolve.apps
+import mspsolve.nystrom
 import mspsolve.psd
 from mspsolve.apps import (
     KernelSpec,
@@ -14,6 +15,7 @@ from mspsolve.apps import (
 )
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
+from mspsolve.instances import InstanceSpec, gen_instance
 
 import oracles
 
@@ -218,6 +220,67 @@ def test_krr_unresolved_sketch_retries_then_falls_back():
     assert rep.method == "krr-dense-fallback"
     x_star = np.linalg.solve(k_dense + lam * np.eye(n), y)
     assert np.linalg.norm(rep.x - x_star) <= 1e-8 * np.linalg.norm(x_star)
+
+
+def _krr_instance(path):
+    # "dense": K near the identity with tiny lam keeps d_lambda near n, so
+    # solve_krr takes the dense fallback; "msp": a clustered rbf kernel.
+    n = 300
+    if path == "dense":
+        x = np.random.default_rng(8).standard_normal((n, 2))
+        return kernel_matrix(KernelSpec(kind="rbf", points=x, bandwidth=0.05)), 1e-10
+    return kernel_matrix(KernelSpec(kind="rbf", points=cluster_points(n, 3, seed=5))), 1.0
+
+
+@pytest.mark.parametrize("path", ["dense", "msp"])
+def test_krr_rejects_eps_outside_unit_interval_before_the_read(monkeypatch, path):
+    k, lam = _krr_instance(path)
+    y = np.random.default_rng(6).standard_normal(k.rows)
+    method = "krr-dense-fallback" if path == "dense" else "krr"
+    assert solve_krr(k, y, lam=lam, eps=1e-6, seed=1).method == method
+    reads = []
+    original = mspsolve.apps._estimate_effective_dim
+
+    def spy(*args, **kwargs):
+        reads.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.apps, "_estimate_effective_dim", spy)
+    for eps in (5.0, 0.0, -1.0):
+        with pytest.raises(DomainError, match=r"eps must be in \(0,1\)"):
+            solve_krr(k, y, lam=lam, eps=eps, seed=1)
+    assert reads == []
+
+
+def test_krr_takes_norm_and_lambda0_from_the_read(monkeypatch):
+    # The d_lambda read's Nystrom eigenvalues give ||K|| and the tail bound,
+    # so the final build runs no probes and level 1 no power method.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_krr must not call this")
+
+    monkeypatch.setattr(mspsolve.psd, "power_method_norm", forbidden)
+    monkeypatch.setattr(mspsolve.nystrom, "tail_probe_factor", forbidden)
+    monkeypatch.setattr(mspsolve.nystrom, "estimate_lambda0", forbidden)
+    n = 300
+    k = kernel_matrix(KernelSpec(kind="rbf", points=cluster_points(n, 3, seed=5)))
+    y = np.random.default_rng(6).standard_normal(n)
+    rep = solve_krr(k, y, lam=1.0, eps=1e-6, seed=1)
+    assert rep.method == "krr"
+    assert rep.converged
+    assert rep.matvecs == rep.iterations["level1"] + len(rep.residual_history)
+    assert rep.diagnostics["preconditioner"]["build_passes"] == 1
+
+
+def test_krr_lambda0_bounds_the_tail_and_norm_is_the_top_eigenvalue():
+    # mu_i <= lambda_i(K), so tr(K) - sum_{i<=l} mu_i bounds the tail from
+    # above; the rank-64 read resolves the top of this spectrum closely.
+    k, y, _ = gen_instance(InstanceSpec("rbf-kernel", n=600, bandwidth=1.0, seed=1))
+    eigs = np.linalg.eigvalsh(k.to_dense())[::-1]
+    rep = solve_krr(k, y, lam=1e-2, eps=1e-6, seed=0)
+    pre = rep.preconditioner
+    want = (2.0 / pre.l) * float(np.sum(eigs[pre.l:]))
+    assert want <= pre.lambda0 <= 2.0 * want
+    assert 0.99 * eigs[0] <= pre.pm_norm <= (1.0 + 1e-12) * eigs[0]
 
 
 def test_krr_rejects_delta_outside_open_half_interval():

@@ -314,7 +314,7 @@ def test_whitened_matrix_within_stated_band():
         a = 0.5 * (a + a.T)
         tail = float(np.sort(vals)[::-1][l:].sum())
         pre = build_nystrom_psd(
-            a, l=l, lam=1e-3, delta=0.01, seed=seed, exact_tail_sum=tail
+            a, l=l, lam=1e-3, delta=0.01, seed=seed, tail_sum=tail
         )
         m = oracles.nystrom_dense(pre.C.to_dense(), pre.w_jittered())
         m[np.diag_indices_from(m)] += pre.lambda_tilde
@@ -414,6 +414,29 @@ def test_jitter_ladder_factors_m2_as_formed_at_the_chosen_rung():
         scipy.linalg.cho_factor(m2_at(first_rung), lower=True, check_finite=False)
     want = scipy.linalg.cho_factor(m2_at(pre.jitter), lower=True, check_finite=False)[0]
     assert pre.inner[0].tobytes() == want.tobytes()
+
+
+def test_jitter_ladder_factors_w_once(monkeypatch):
+    # M2 fails at the lower rungs of this build; W_j, positive definite from
+    # the first rung on, is factored there and never again.
+    k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
+    factored = []
+    original = scipy.linalg.cho_factor
+
+    def spy(a, *args, **kwargs):
+        factored.append(np.array(a, copy=True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
+    pre = build_nystrom_psd(k, 60, 1e-2, 0.01, 0)
+    w = pre.W.to_dense()
+    off = ~np.eye(pre.s, dtype=bool)
+    w_calls = [m for m in factored if m.shape == w.shape and np.array_equal(m[off], w[off])]
+    m2_calls = [m for m in factored if m.shape == w.shape and not np.array_equal(m[off], w[off])]
+    rungs = round(np.log10(pre.jitter / (JITTER_INITIAL * np.trace(w) / pre.s))) + 1
+    assert rungs >= 2
+    assert len(w_calls) == 1
+    assert len(m2_calls) == rungs
 
 
 def test_psd_and_general_sketch_sizes():
