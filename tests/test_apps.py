@@ -222,6 +222,10 @@ def test_krr_unresolved_sketch_retries_then_falls_back():
     assert np.linalg.norm(rep.x - x_star) <= 1e-8 * np.linalg.norm(x_star)
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("solve_krr must not call this")
+
+
 def _krr_instance(path):
     # "dense": K near the identity with tiny lam keeps d_lambda near n, so
     # solve_krr takes the dense fallback; "msp": a clustered rbf kernel.
@@ -238,29 +242,18 @@ def test_krr_rejects_eps_outside_unit_interval_before_the_read(monkeypatch, path
     y = np.random.default_rng(6).standard_normal(k.rows)
     method = "krr-dense-fallback" if path == "dense" else "krr"
     assert solve_krr(k, y, lam=lam, eps=1e-6, seed=1).method == method
-    reads = []
-    original = mspsolve.apps._estimate_effective_dim
-
-    def spy(*args, **kwargs):
-        reads.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mspsolve.apps, "_estimate_effective_dim", spy)
+    monkeypatch.setattr(mspsolve.apps, "_estimate_effective_dim", _forbidden)
     for eps in (5.0, 0.0, -1.0):
         with pytest.raises(DomainError, match=r"eps must be in \(0,1\)"):
             solve_krr(k, y, lam=lam, eps=eps, seed=1)
-    assert reads == []
 
 
 def test_krr_takes_norm_and_lambda0_from_the_read(monkeypatch):
     # The d_lambda read's Nystrom eigenvalues give ||K|| and the tail bound,
     # so the final build runs no probes and level 1 no power method.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solve_krr must not call this")
-
-    monkeypatch.setattr(mspsolve.psd, "power_method_norm", forbidden)
-    monkeypatch.setattr(mspsolve.nystrom, "tail_probe_factor", forbidden)
-    monkeypatch.setattr(mspsolve.nystrom, "estimate_lambda0", forbidden)
+    monkeypatch.setattr(mspsolve.psd, "power_method_norm", _forbidden)
+    monkeypatch.setattr(mspsolve.nystrom, "tail_probe_factor", _forbidden)
+    monkeypatch.setattr(mspsolve.nystrom, "estimate_lambda0", _forbidden)
     n = 300
     k = kernel_matrix(KernelSpec(kind="rbf", points=cluster_points(n, 3, seed=5)))
     y = np.random.default_rng(6).standard_normal(n)
