@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 import scipy.spatial.distance
 
 from . import nystrom
@@ -102,22 +101,19 @@ def _estimate_effective_dim(
     """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom sketch of K.
 
     Only the sketch is formed (nystrom.psd_sketch): no lambda0 probes and no
-    level-2 factor.  The eigenvalues mu of K_nys = C W_j^{-1} C^T are those
-    of B B^T, B = L^{-1} C^T with L the Cholesky factor of W_j (the first
-    rung of the jitter ladder that factors), and the estimate is
-    sum mu/(mu+lam).  The sketch has resolved d_lambda when s = n or
-    mu_min <= lam; otherwise l_boot doubles, at most twice, and n is returned,
-    which forces the dense fallback upstream.  Returns (estimate, retries,
-    mu ascending).
+    level-2 factor.  The estimate is sum mu/(mu+lam) over the eigenvalues mu
+    of K_nys = C W_j^{-1} C^T (nystrom.nystrom_eigenvalues, W_j from the
+    first rung of the jitter ladder that factors).  The sketch has resolved
+    d_lambda when s = n or mu_min <= lam; otherwise l_boot doubles, at most
+    twice, and n is returned, which forces the dense fallback upstream.
+    Returns (estimate, retries, mu ascending).
     """
     n = k.rows
     retries = 0
     while True:
         l_eff, _ = clamp_rank(min(l_boot, max(n // 2, 1)), n)
         c, w, _ = nystrom.psd_sketch(k, l_eff, delta, seed + 17, n)
-        chol = nystrom.jittered_cholesky(w, "W")[0][0]
-        b = scipy.linalg.solve_triangular(chol, c.to_dense().T, lower=True, check_finite=False)
-        mu = np.maximum(scipy.linalg.eigvalsh(b @ b.T, check_finite=False), 0.0)
+        mu = nystrom.nystrom_eigenvalues(c.to_dense(), nystrom.jittered_cholesky(w, "W")[0])
         if c.cols == n or mu[0] <= lam:
             return float(np.sum(mu / (mu + lam))), retries, mu
         if retries >= 2:
@@ -139,10 +135,9 @@ def solve_krr(
     Reads d_lambda off one Nystrom sketch of K, sets the sketch rank
     l ~ 2*d_lambda and runs the PSD solver once; a dense direct solve takes
     over when sketching cannot pay (d_hat > n/4) or the sketch is unresolved.
-    The read's Nystrom eigenvalues mu also set the preconditioner: K_nys <= K
-    gives mu_i <= lambda_i(K), so tr(K) - sum_{i<=l} mu_i bounds the tail
-    sum behind lambda0 from above, and mu_max stands in for ||K||.  The
-    final build therefore runs no lambda0 probes and no power method.
+    The build takes the read's Nystrom eigenvalues mu in place of its own
+    (build_nystrom_psd(mu=)), so it solves no second eigenproblem: lambda0
+    and ||K|| come from the d_lambda sketch.
     """
     t_start = time.perf_counter()
     if lam <= 0.0:
@@ -172,11 +167,7 @@ def solve_krr(
 
     l = clamp_rank(min(math.ceil(2.0 * d_hat), n // 2), n)[0]
     cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-    # The diagonal gives tr(K) exactly, without densifying a CSR K; mu[-l:]
-    # is all of mu when l exceeds its length, and the bound still holds.
-    tail = float(k.raw().diagonal().sum()) - float(np.sum(mu[-l:]))
-    pre = nystrom.build_nystrom_psd(k, l, lam, delta, seed, tail_sum=tail)
-    pre.pm_norm = float(mu[-1])
+    pre = nystrom.build_nystrom_psd(k, l, lam, delta, seed, mu=mu)
     report = solve_psd(k, y, cfg, pre=pre)
     report.method = "krr"
     report.wall_ms = (time.perf_counter() - t_start) * 1e3

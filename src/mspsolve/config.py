@@ -42,8 +42,6 @@ JITTER_MAX = 1e-6
 EPS_FLOOR = 1e-14
 # Lanczos breakdown tolerance scale
 BREAKDOWN_RTOL = 1e-14
-# power-method iterations for norm estimates
-POWER_ITERS = 30
 
 
 def sketch_rows(l: int, n: int, delta: float, factor: float) -> int:

@@ -3,11 +3,12 @@
 This is the PSD path (psd.py) applied to B = A^T A.  Its Nystrom
 preconditioner of B is defined by the blocks C = A^T A_tilde (n x s) and
 W = A_tilde^T A_tilde, with A_tilde = A S^T (m x s); GeneralMspState is that
-NystromPreconditioner plus A and the level-3 factors.  lambda0 comes from
-the same Hutchinson estimator, and level 1 is the same driver
-(psd.solve_level1), at two products with A per apply of B.  The build forms
-C and W once, so levels 2 and 3 make no product with A.  Only level 2
-differs from the PSD path, where it is one direct solve:
+NystromPreconditioner plus A and the level-3 factors.  ||A^T A|| is read
+off the same Nystrom eigenvalues, lambda0 comes from the same Hutchinson
+estimator, and level 1 is the same driver (psd.solve_level1), at two
+products with A per apply of B.  The build forms C and W once, so levels 2
+and 3 make no product with A.  Only level 2 differs from the PSD path,
+where it is one direct solve:
 
   level 1  Lanczos on A^T A + lam*I, preconditioned by M via the inversion
            formula (SolveM1);
@@ -41,7 +42,7 @@ from .core import power_method_norm  # noqa: F401
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos
 from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
-                      cho_apply, jittered_cholesky, lambda0_from_probes)
+                      cho_apply, jittered_cholesky, lambda0_from_probes, nystrom_eigenvalues)
 from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1, solve_psd
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
@@ -68,11 +69,6 @@ class GeneralMspState(NystromPreconditioner):
     m3a_factor: tuple
     m3b_factor: tuple
 
-    @property
-    def w_j(self) -> np.ndarray:
-        """The jittered W (read-only alias of w_jittered())."""
-        return self.w_jittered()
-
 
 def _frobenius_sq(a: MatrixHandle) -> float:
     raw = a.raw()
@@ -82,7 +78,7 @@ def _frobenius_sq(a: MatrixHandle) -> float:
 
 
 def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
-    """Sketch A, form C and W, estimate lambda0, prefactor level 3.
+    """Sketch A, form C and W, estimate lambda0 and ||A^T A||, prefactor level 3.
 
     A_tilde = A S^T, C = A^T A_tilde and W = A_tilde^T A_tilde are block
     products made once here.  C costs 2*m*n*s flops; with it stored, a
@@ -95,7 +91,8 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     the per-probe variance scales with the tail energy itself rather than
     with ||A^T A||_F^2, which would drown the tail whenever the spectrum has
     large outliers.  The exact ||A||_F^2 = tr(A^T A) anchors the floor and
-    the sanity check.
+    the sanity check.  ||A^T A|| is taken as mu_max, the top eigenvalue of
+    C W_j^{-1} C^T (nystrom_eigenvalues), read off W's factor.
 
     The build streams A five times (`build_passes`): A S^T, A^T A_tilde,
     ||A||_F^2, A S_l^T and the probe block.
@@ -140,7 +137,7 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
                                   trace=frob_sq)
     lambda_tilde = cfg.lam + lambda0
 
-    def factor_m3(w_j, jitter):
+    def factor_m3(w_j, jitter, w_factor):
         m3a = gram_hat.copy()
         m3a[np.diag_indices_from(m3a)] += jitter
         m3a_factor = scipy.linalg.cho_factor(m3a, lower=True, check_finite=False)
@@ -149,7 +146,7 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
         m3b_factor = scipy.linalg.cho_factor(m3b, lower=True, check_finite=False)
         return m3a_factor, m3b_factor
 
-    _, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
+    w_factor, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
         w, "sketched Gram", then=factor_m3
     )
     state = GeneralMspState(
@@ -163,7 +160,9 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
         l=l_eff,
         gamma=gamma,
         seed=cfg.seed,
+        pm_norm=float(nystrom_eigenvalues(c_block, w_factor)[-1]),
         build_passes=5,
+        probes=LAMBDA0_PROBES,
         a=a,
         phi_rows=phi.phi,
         a_tilde=a_tilde,
@@ -219,7 +218,7 @@ def solve_m2(
     """
     r = as_vector(r, state.s)
     lt = state.lambda_tilde
-    w_j = state.w_j
+    w_j = state.w_jittered()
     t3, eps2 = budgets["t3"], budgets["eps2"]
 
     def w_op(y):
@@ -268,10 +267,9 @@ def solve_normal(
 
     Level 1 is psd.solve_level1 on B = A^T A; level 2 is solve_m1_general.
     The report's `matvecs` counts the vector products with A or A^T that
-    this call made: two per level-1 step and residual check, two per
-    power-method step when the ||A^T A|| estimate is not yet cached on the
-    state, and one per lambda0 probe when this call builds the state.  It
-    does not count the block products A_tilde = A S^T and C = A^T A_tilde.
+    this call made: two per level-1 step and residual check, and one per
+    lambda0 probe when this call builds the state.  It does not count the
+    block products A_tilde = A S^T and C = A^T A_tilde.
     """
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))

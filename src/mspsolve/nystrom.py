@@ -7,10 +7,12 @@ C = A S^T and W = S A S^T through the regularized inversion formula
 
 which never forms the rank-s approximation C W^{-1} C^T explicitly.  lambda0
 compensates for the spectral tail that rank l cannot capture: its target value
-is (2/l) * sum_{i>l} lambda_i(A).  A caller holding Nystrom eigenvalues mu of
-A passes the bound tr(A) - sum_{i<=l} mu_i on that tail sum (kernel ridge
-regression reads mu off its d_lambda sketch); otherwise the tail is estimated
-stochastically from a separate l-row sketch.
+is (2/l) * sum_{i>l} lambda_i(A).  The build reads the eigenvalues mu of its
+own approximation (nystrom_eigenvalues).  A_nys <= A gives mu_i <= lambda_i(A),
+so mu_max stands in for ||A|| and, for a matrix, tr(A) - sum_{i<=l} mu_i bounds
+the tail sum from above (Frangella, Tropp & Udell, SIMAX 2023).  An
+operator-only A has no exact trace; its tail is estimated stochastically from
+a separate l-row sketch.
 
 W is symmetrized and carries a small diagonal jitter chosen once at build
 time; the jittered W is then used consistently in every formula above, so the
@@ -61,9 +63,10 @@ class NystromPreconditioner:
 
     `jitter` is the absolute diagonal shift applied to W everywhere it is
     used.  `inner` holds the Cholesky factor of M2 = C^T C + lt*W_j, the
-    matrix of the level-2 system M2 y = C^T r.  The normal-equations path
-    builds the same object for A^T A (general.GeneralMspState), where `inner`
-    is None.
+    matrix of the level-2 system M2 y = C^T r.  `pm_norm` is the estimate of
+    ||B||, B = A or A^T A: the top eigenvalue of B's Nystrom approximation.
+    The normal-equations path builds the same object for A^T A
+    (general.GeneralMspState), where `inner` is None.
     """
 
     C: MatrixHandle
@@ -76,11 +79,10 @@ class NystromPreconditioner:
     l: int
     gamma: int
     seed: int
+    pm_norm: float
     kappa_hat: Optional[float] = None
-    # ||B|| estimate, B = A or A^T A: the power method's, or the top Nystrom
-    # eigenvalue of B that the caller already holds.
-    pm_norm: Optional[float] = None
     build_passes: int = 0  # passes over A the build made
+    probes: int = 0  # lambda0 probes the build drew, one product with A each
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
     _exact_factor: Optional[tuple] = field(default=None, repr=False)
 
@@ -155,13 +157,13 @@ def jittered_cholesky(w: np.ndarray, what: str, then=None):
     """Lower Cholesky factor of W + jitter*I at the first jitter that works.
 
     The jitter climbs from JITTER_INITIAL to JITTER_MAX times tr(W)/s, x10 per
-    rung.  `then(w_j, jitter)` factors whatever must share the rung; its
-    LinAlgError also moves to the next rung.  Once W_j has factored and only
-    `then` failed, later rungs retry `then` alone: more diagonal jitter keeps
-    W_j positive definite, so W is factored once per ladder.  Returns
-    (factor, w_j, jitter, then's result); factor is None when `then` is
-    given, whose callers need W_j only, so it is freed before `then`
-    allocates.  Raises SketchRankCollapse naming `what` when no rung works.
+    rung.  `then(w_j, jitter, factor)` factors whatever must share the rung;
+    its LinAlgError also moves to the next rung.  Once W_j has factored and
+    only `then` failed, later rungs retry `then` alone: more diagonal jitter
+    keeps W_j positive definite, so W is factored once per ladder, and
+    `factor` is that first factor on every rung.  Returns (factor, w_j,
+    jitter, then's result).  Raises SketchRankCollapse naming `what` when no
+    rung works.
     Only the message of a failed attempt is kept: holding the exception
     would keep its traceback's frames, and their arrays, alive in a
     reference cycle.
@@ -170,18 +172,15 @@ def jittered_cholesky(w: np.ndarray, what: str, then=None):
     trace_w = float(np.trace(w))
     rel = JITTER_INITIAL
     reason = ""
-    w_factored = False
+    factor = None
     while rel <= JITTER_MAX * (1 + 1e-9):
         jitter = rel * trace_w / s
         w_j = w.copy()
         w_j[np.diag_indices_from(w_j)] += jitter
         try:
-            factor = None if w_factored else scipy.linalg.cho_factor(
-                w_j, lower=True, check_finite=False)
-            extra = None
-            if then is not None:
-                factor, w_factored = None, True
-                extra = then(w_j, jitter)
+            if factor is None:
+                factor = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
+            extra = None if then is None else then(w_j, jitter, factor)
         except scipy.linalg.LinAlgError as exc:
             reason = str(exc)
         else:
@@ -191,6 +190,19 @@ def jittered_cholesky(w: np.ndarray, what: str, then=None):
         f"{what} ({s}x{s}) failed Cholesky at every jitter level up to "
         f"{JITTER_MAX:.1e}*tr(W)/s: {reason}"
     )
+
+
+def nystrom_eigenvalues(c: np.ndarray, w_factor) -> np.ndarray:
+    """Eigenvalues mu (ascending, clipped at 0) of B_nys = C W_j^{-1} C^T.
+
+    They are those of the s x s matrix Y Y^T with Y = L^{-1} C^T, L the
+    Cholesky factor of W_j.  Y is formed first: L^{-1} (C^T C) L^{-T} holds
+    the same eigenvalues in exact arithmetic but cancels where the tail is
+    small.  C W_j^{-1} C^T <= C W^+ C^T <= B for any jitter >= 0, so
+    mu_i <= lambda_i(B).
+    """
+    y = scipy.linalg.solve_triangular(w_factor[0], c.T, lower=w_factor[1], check_finite=False)
+    return np.maximum(scipy.linalg.eigvalsh(y @ y.T, check_finite=False), 0.0)
 
 
 def lambda0_from_probes(probe, n: int, w_factor, l: int, probes: int, seed: int,
@@ -301,22 +313,24 @@ def build_nystrom_psd(
     seed: int,
     *,
     n: Optional[int] = None,
-    tail_sum: Optional[float] = None,
+    mu: Optional[np.ndarray] = None,
 ) -> NystromPreconditioner:
     """Build the two-level Nystrom preconditioner for PSD A.
 
-    Sketches C = A S^T and W = S C (psd_sketch), sets lambda0 =
-    (2/l)*tail_sum when the caller supplies tail_sum, a value or upper bound
-    of sum_{i>l} lambda_i(A) (solve_krr's bound from its Nystrom eigenvalues,
-    the exact tail in oracle-mode tests), else estimates it from a separate
-    l-row sketch and LAMBDA0_PROBES probes, picks the smallest jitter that
-    makes W pass Cholesky, and prefactors the level-2 matrix
-    M2 = C^T C + lt*W_j.
+    Sketches C = A S^T and W = S C (psd_sketch), picks the smallest jitter
+    that makes W pass Cholesky, reads the eigenvalues mu of C W_j^{-1} C^T
+    off that factor (nystrom_eigenvalues) and prefactors the level-2 matrix
+    M2 = C^T C + lt*W_j.  A caller that already holds Nystrom eigenvalues of
+    A passes them as `mu` and skips the read (solve_krr, from its d_lambda
+    sketch; the exact eigenvalues in oracle-mode tests).  pm_norm = mu_max.
+    For a matrix, lambda0 = (2/l) * max(tr(A) - sum_{i<=l} mu_i,
+    1e-12*tr(A)) with the exact trace, an upper bound of the tail term.  An
+    operator-only A has no exact trace and takes no `mu`: its lambda0 is
+    estimated from a separate l-row sketch and LAMBDA0_PROBES probes.
 
-    Every product with A is one block product, so the build streams a
-    handle's A three times (S A, S_l A and the probe block; once with
-    tail_sum).  An operator-only A is applied once per column; the count is
-    kept as `build_passes`.
+    A handle's A is streamed once (S A).  An operator-only A is applied once
+    per column of S^T, of S_l^T and of the probe block; the count is kept as
+    `build_passes`.
 
     Raises SketchRankCollapse if W cannot be factored even at the largest
     jitter — re-seeding is the caller's remedy.
@@ -330,51 +344,57 @@ def build_nystrom_psd(
         raise DomainError("operator-only A needs an explicit dimension n")
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
+    matrix = isinstance(a, MatrixHandle)
+    if mu is not None and not matrix:
+        raise DomainError("mu needs A as a matrix, whose trace bounds the tail")
     c_handle, w, gamma = psd_sketch(a, l, delta, seed, n)
     c = c_handle.to_dense()
 
-    def passes(cols):
-        return 1 if isinstance(a, MatrixHandle) else cols
-
-    build_passes = passes(c_handle.cols)
-
-    if tail_sum is not None:
-        lambda0 = (2.0 / l) * max(float(tail_sum), 0.0)
+    if matrix:
+        # The diagonal gives tr(A) exactly, without densifying a CSR A.
+        trace, lambda0 = float(a.raw().diagonal().sum()), None
+        build_passes, probes = 1, 0
     else:
         c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed)
         lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, LAMBDA0_PROBES, seed)
-        build_passes += passes(l) + passes(LAMBDA0_PROBES)
-    lambda_tilde = lam + lambda0
-    if lambda_tilde <= 0.0:
-        raise DomainError(
-            "lambda + lambda0 must be positive; the matrix appears to be zero"
-        )
+        build_passes, probes = c_handle.cols + l + LAMBDA0_PROBES, LAMBDA0_PROBES
+        if lam + lambda0 <= 0.0:
+            raise DomainError(
+                "lambda + lambda0 must be positive; the operator appears to be zero"
+            )
+    if mu is not None:
+        mu = np.sort(mu)
 
     m2 = g_diag = None
 
-    def factor_m2(w_j, jitter):
-        # c.T @ c (syrk) and W_j are exactly symmetric, so M2's transpose is
-        # the Fortran-ordered array LAPACK factors in place, without a copy.
+    def factor_m2(w_j, jitter, w_factor):
+        # The first rung reads mu and lambda0 off W's factor.  c.T @ c (syrk)
+        # and W_j are exactly symmetric, so M2's transpose is the
+        # Fortran-ordered array LAPACK factors in place, without a copy.
         # potrf writes only M2's upper triangle and diagonal, so a later rung
         # restores the upper triangle from the lower one, whose off-diagonal
         # G + lt*W does not depend on the jitter, and resets the diagonal:
         # G = C^T C is formed once per build.
-        nonlocal m2, g_diag
+        nonlocal m2, g_diag, mu, lambda0
         if m2 is None:
+            if mu is None:
+                mu = nystrom_eigenvalues(c, w_factor)
+            if matrix:  # mu[-l:] is all of mu when l exceeds its length
+                lambda0 = (2.0 / l) * max(trace - float(np.sum(mu[-l:])), 1e-12 * trace)
             m2 = c.T @ c
             g_diag = m2.diagonal().copy()
-            m2 += lambda_tilde * w_j
+            m2 += (lam + lambda0) * w_j
         else:
             for i in range(m2.shape[0] - 1):
                 m2[i, i + 1:] = m2[i + 1:, i]
-            np.fill_diagonal(m2, g_diag + lambda_tilde * w_j.diagonal())
+            np.fill_diagonal(m2, g_diag + (lam + lambda0) * w_j.diagonal())
         return scipy.linalg.cho_factor(m2.T, lower=True, overwrite_a=True, check_finite=False)
 
     _, w_j, jitter, inner = jittered_cholesky(w, "W", then=factor_m2)
     pre = NystromPreconditioner(
         C=c_handle,
         W=MatrixHandle(w, sym="spd"),
-        lambda_tilde=lambda_tilde,
+        lambda_tilde=lam + lambda0,
         lambda0=lambda0,
         lam=lam,
         jitter=jitter,
@@ -382,7 +402,9 @@ def build_nystrom_psd(
         l=l,
         gamma=gamma,
         seed=seed,
+        pm_norm=float(mu[-1]),
         build_passes=build_passes,
+        probes=probes,
     )
     pre._w_j = w_j
     return pre

@@ -27,8 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import LAMBDA0_PROBES, POWER_ITERS, RITZ_INFLATION, T_FACTOR, WARMUP_ITERS
-from .core import MatrixHandle, as_vector, operator_of, power_method_norm
+from .config import RITZ_INFLATION, T_FACTOR, WARMUP_ITERS
+from .core import MatrixHandle, as_vector, operator_of
+# power_method_norm is unused here, but tracers rebind it by this name.
+from .core import power_method_norm  # noqa: F401
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos, ritz_values
 from .nystrom import NystromPreconditioner, apply_minv_via_formula, build_nystrom_psd, cho_apply
@@ -37,19 +39,13 @@ from .report import SolveReport
 
 @dataclass
 class PsdSolveConfig:
-    """Knobs for one PSD solve; eps is the target relative energy-norm error.
-
-    t_max_override replaces the Ritz-derived cap on the level-1 run's total
-    steps.  Like that cap, it is raised to WARMUP_ITERS when smaller
-    and capped at 2n.
-    """
+    """Knobs for one PSD solve; eps is the target relative energy-norm error."""
 
     l: int
     lam: float = 0.0
     eps: float = 1e-8
     delta: float = 0.01
     seed: int = 0
-    t_max_override: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -120,7 +116,6 @@ def two_phase_lanczos(
     main_target: Callable[[np.ndarray, float], tuple],
     eps: float,
     *,
-    t_max_override: Optional[int] = None,
     trace: Optional[Callable[[dict], None]] = None,
 ) -> tuple:
     """One Lanczos run, budgeted from its own Ritz values: the scheme every solver shares.
@@ -131,8 +126,8 @@ def two_phase_lanczos(
     values theta and kappa (inflated, kappa0 if they give none), which size
     t_max, the cap on the run's total steps, and main_target(theta, kappa)
     gives the residual target the run then continues to (and its
-    diagnostics).  t_max_override replaces the Ritz-derived t_max; either is
-    raised to WARMUP_ITERS when smaller and capped at 2n.
+    diagnostics).  t_max is raised to WARMUP_ITERS when smaller and capped
+    at 2n.
 
     Returns (x, workspace, kappa, diagnostics of the budget).  kappa is the
     value t_max was sized with, or the raw Ritz estimate of the final T
@@ -144,9 +139,7 @@ def two_phase_lanczos(
         theta = ritz_values(tri)
         kappa = _ritz_kappa(tri) or kappa0
         target, target_diag = main_target(theta, kappa)
-        t_max = t_max_override or int(
-            math.ceil(T_FACTOR * math.sqrt(kappa) * math.log(max(kappa / eps, math.e)))
-        )
+        t_max = int(math.ceil(T_FACTOR * math.sqrt(kappa) * math.log(max(kappa / eps, math.e))))
         t_max = min(max(t_max, WARMUP_ITERS), 2 * b.shape[0])
         read.update(kappa=kappa, diag={"t_max": t_max, **target_diag})
         return t_max, target
@@ -178,17 +171,17 @@ def solve_level1(
 
     op applies B, the PSD matrix `pre` approximates: A on the PSD path, A^T A
     on the normal-equations path, at `products` products with A per apply.
-    `pre` is build() unless given, and ||B|| comes from the power method
-    unless cached on `pre`.  They give kappa_mat, an upper estimate of
-    cond(M); level2_for(pre, kappa_mat) returns the SolveM and the
-    diagnostics of any inner budgets it derives from kappa_mat.  The SolveM
-    adds its inner iteration counts to `counters`, whose keys (all zero on
-    entry) join level1 (every level-1 step) and warmup (the steps up to the
-    Ritz read) in the report's iterations; path_diagnostics(pre) adds the
-    path's own diagnostics.
+    `pre` is build() unless given; its ||B|| estimate pm_norm, the top
+    eigenvalue of B's Nystrom approximation, gives kappa_mat = cond(M).
+    level2_for(pre, kappa_mat) returns the SolveM and the diagnostics of any
+    inner budgets it derives from kappa_mat.  The SolveM adds its inner
+    iteration counts to `counters`, whose keys (all zero on entry) join
+    level1 (every level-1 step) and warmup (the steps up to the Ritz read)
+    in the report's iterations; path_diagnostics(pre) adds the path's own
+    diagnostics.
     matvecs counts the products with A this call made: level 1's steps and
-    residual checks, the power method's when it ran, and one per lambda0
-    probe when this call built `pre` (the probes share one block product).
+    residual checks, and one per lambda0 probe when this call built a `pre`
+    that drew probes (the probes share one block product).
     """
     t_start = time.perf_counter()
     n = b.shape[0]
@@ -212,18 +205,17 @@ def solve_level1(
     built = pre is None
     if built:
         pre = build()
-    power_ran = pre.pm_norm is None
-    if power_ran:
-        pre.pm_norm = power_method_norm(op, n, iters=POWER_ITERS, seed=cfg.seed + 3)
     pm, lt = pre.pm_norm, pre.lambda_tilde
-    kappa_mat = (pm + lt) / lt  # upper estimate of cond(M): B_nys <= B
+    kappa_mat = (pm + lt) / lt  # cond(M): M = B_nys + lt*I tops out at mu_max + lt
     solve_m, budget_diag = level2_for(pre, kappa_mat)
 
     def main_target(theta, kappa):
         # lam_min(B + lam) ~ theta_min*lt/ritz_inflation from the smallest
         # Ritz value of M^{-1}(B + lam) at the Ritz read (M >= lt*I; the
-        # inflation covers its overestimate).  Against 1.5*||B|| + lam >=
-        # lam_max, a relative residual of eps/sqrt(kappa_b) certifies energy
+        # inflation covers its overestimate).  pm = mu_max <= ||B|| reads
+        # 0.999 of ||B|| in the design regime but 0.6-0.9 off it, so
+        # 1.5*pm + lam estimates lam_max rather than bounding it.  Against
+        # it, a relative residual of eps/sqrt(kappa_b) certifies energy
         # error eps.
         theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
         kappa_b = max((1.5 * pm + lam) / max(theta_min * lt / RITZ_INFLATION, 1e-300), 1.0)
@@ -232,14 +224,13 @@ def solve_level1(
 
     x, ws, kappa_m, read_diag = two_phase_lanczos(
         b_op, b, solve_m, kappa_mat, cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
-        main_target, cfg.eps, t_max_override=cfg.t_max_override, trace=trace,
+        main_target, cfg.eps, trace=trace,
     )
     pre.kappa_hat = kappa_m
     return report(
         {"level1": ws.iterations, "warmup": min(ws.iterations, WARMUP_ITERS)},
         x=x, status=ws.status, stop_reason=ws.stop_reason,
-        matvecs=products * (ws.n_matvec + (POWER_ITERS if power_ran else 0))
-        + (LAMBDA0_PROBES if built else 0),
+        matvecs=products * ws.n_matvec + (pre.probes if built else 0),
         residual_history=[[i, r] for i, r in ws.checkpoints],
         kappa_m_estimate=kappa_m,
         diagnostics={
@@ -270,8 +261,7 @@ def solve_psd(
     Returns a SolveReport; non-convergence within budget is reported via
     status "budget-exhausted", never as an exception.  Pass a previously
     built `pre` (from an earlier report on the same A, lam, l, seed) to skip
-    the preconditioner build, and the ||A|| estimate cached on it, when
-    solving several right-hand sides.
+    the preconditioner build when solving several right-hand sides.
     """
     b = as_vector(b)
     n = b.shape[0]
@@ -293,8 +283,8 @@ def solve_psd(
         return {
             "level2_solver": "cholesky",
             "matvec_note": "matvecs counts the A applications this call made: level 1, "
-            "the power method when it ran, and one per lambda0 probe when it built the "
-            "preconditioner, though the probes share one block product (the build's "
+            "and one per lambda0 probe when it built the preconditioner of an "
+            "operator-only A, though the probes share one block product (the build's "
             "passes over A are preconditioner.build_passes)",
         }
 

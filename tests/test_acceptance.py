@@ -334,7 +334,7 @@ def test_criterion_07_inner_conditioning():
                               GeneralSolveConfig(l=10, lam=0.0, eps=1e-8, seed=seed))
         assert state.phi_rows < m, "OSE degenerated to identity; test void"
         at = state.a_tilde.to_dense()
-        w_j, lt = state.w_j, state.lambda_tilde
+        w_j, lt = state.w_jittered(), state.lambda_tilde
         s = w_j.shape[0]
         cmat = a.T @ at
         lo, hi = oracles.pencil_eig_range(cmat.T @ cmat + lt * w_j,

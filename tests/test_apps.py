@@ -15,6 +15,7 @@ from mspsolve.apps import (
 )
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
+from mspsolve.general import GeneralSolveConfig, build_general
 from mspsolve.instances import InstanceSpec, gen_instance
 
 import oracles
@@ -274,6 +275,27 @@ def test_krr_lambda0_bounds_the_tail_and_norm_is_the_top_eigenvalue():
     want = (2.0 / pre.l) * float(np.sum(eigs[pre.l:]))
     assert want <= pre.lambda0 <= 2.0 * want
     assert 0.99 * eigs[0] <= pre.pm_norm <= (1.0 + 1e-12) * eigs[0]
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e4])
+def test_psd_build_lambda0_bounds_the_tail_and_norm_is_at_most_the_top_eigenvalue(ratio):
+    # A matrix build reads its own Nystrom eigenvalues mu <= lambda(A): the
+    # tail bound holds at any ratio, mu_max falls below ||A|| (0.98 at 1e2).
+    a, _, _ = gen_instance(InstanceSpec("k-large-psd", n=600, k=16, ratio=ratio, seed=1))
+    eigs = np.linalg.eigvalsh(a.to_dense())[::-1]
+    pre = mspsolve.nystrom.build_nystrom_psd(a, 32, 1e-3, 0.01, 0)
+    assert pre.s < 600
+    assert pre.lambda0 >= (2.0 / pre.l) * float(np.sum(eigs[pre.l:]))
+    assert 0.9 * eigs[0] <= pre.pm_norm <= (1.0 + 1e-12) * eigs[0]
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e4])
+def test_general_build_norm_is_the_top_eigenvalue_of_the_gram(ratio):
+    a, _, _ = gen_instance(InstanceSpec("k-large-general", n=256, m=800, k=8, ratio=ratio,
+                                        seed=1))
+    top = np.linalg.norm(a.to_dense(), 2) ** 2
+    state = build_general(a, GeneralSolveConfig(l=16, lam=1.0, seed=0))
+    assert 0.99 * top <= state.pm_norm <= (1.0 + 1e-12) * top
 
 
 def test_krr_rejects_delta_outside_open_half_interval():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import mspsolve.general
+import mspsolve.psd
 from mspsolve.bench import run_compare
 from mspsolve.config import WARMUP_ITERS
 from mspsolve.core import MatrixHandle
@@ -83,16 +86,19 @@ def test_zero_matrix_rejected():
         build_general(np.zeros((40, 30)), GeneralSolveConfig(l=6))
 
 
-@pytest.mark.parametrize("override, t_max", [(2, WARMUP_ITERS), (13, 13)])
-def test_t_max_override_caps_the_main_run(override, t_max):
+@pytest.mark.parametrize("cap, t_max", [(2, WARMUP_ITERS), (13, 13)])
+def test_t_max_override_caps_the_main_run(monkeypatch, cap, t_max):
     # A decaying spectrum with no flat tail at a tight eps needs far more than
-    # t_max iterations.  Overrides below the warmup length are raised to it.
+    # t_max iterations.  T_FACTOR is scaled so that the Ritz-derived cap is
+    # `cap`; caps below the warmup length are raised to it.
     n = 128
     a = svd_matrix(200, n, np.geomspace(1e3, 1.0, n), seed=12)
     c = a.T @ np.random.default_rng(13).standard_normal(200)
-    rep = solve_normal(
-        a, c, GeneralSolveConfig(l=8, lam=0.0, eps=1e-10, seed=13, t_max_override=override)
-    )
+    cfg = GeneralSolveConfig(l=8, lam=0.0, eps=1e-10, seed=13)
+    kappa = solve_normal(a, c, cfg).kappa_m_estimate  # the same Ritz read at any T_FACTOR
+    monkeypatch.setattr(mspsolve.psd, "T_FACTOR",
+                        (cap - 0.5) / (math.sqrt(kappa) * math.log(kappa / cfg.eps)))
+    rep = solve_normal(a, c, cfg)
     assert rep.status == "budget-exhausted"
     assert rep.iterations["level1"] == t_max
     assert rep.diagnostics["t_max"] == t_max
@@ -197,7 +203,7 @@ def test_solve_m1_matches_dense_preconditioner_inverse():
     rng = np.random.default_rng(25)
     r = rng.standard_normal(n)
     got = solve_m1_general(state, r, BIG_BUDGETS)
-    want = oracles.dense_minv_apply(c_block, state.w_j, state.lambda_tilde, r)
+    want = oracles.dense_minv_apply(c_block, state.w_jittered(), state.lambda_tilde, r)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -239,7 +245,7 @@ def test_solve_m1_makes_no_product_with_a():
     r = np.random.default_rng(25).standard_normal(n)
     got = solve_m1_general(state, r, BIG_BUDGETS)
     assert a.calls == 0
-    want = oracles.dense_minv_apply(dense.T @ state.a_tilde.to_dense(), state.w_j,
+    want = oracles.dense_minv_apply(dense.T @ state.a_tilde.to_dense(), state.w_jittered(),
                                     state.lambda_tilde, r)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -276,8 +282,8 @@ def test_solve_m2_matches_dense_resolvent_difference():
     rng = np.random.default_rng(32)
     r = rng.standard_normal(state.s)
     got = solve_m2(state, r, BIG_BUDGETS)
-    lt = state.lambda_tilde
-    want = np.linalg.solve(state.w_j @ state.w_j + lt * state.w_j, r)
+    lt, w_j = state.lambda_tilde, state.w_jittered()
+    want = np.linalg.solve(w_j @ w_j + lt * w_j, r)
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
     assert np.array_equal(solve_m2(state, np.zeros(state.s), BIG_BUDGETS),
                           np.zeros(state.s))
@@ -291,10 +297,10 @@ def test_solve_m2_huge_shift_limit():
     rng = np.random.default_rng(36)
     r = rng.standard_normal(state.s)
     got = solve_m2(state, r, BIG_BUDGETS)
-    lt = state.lambda_tilde
-    want = np.linalg.solve(state.w_j @ state.w_j + lt * state.w_j, r)
+    lt, w_j = state.lambda_tilde, state.w_jittered()
+    want = np.linalg.solve(w_j @ w_j + lt * w_j, r)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
-    approx = np.linalg.solve(state.w_j, r) / lt
+    approx = np.linalg.solve(w_j, r) / lt
     assert np.linalg.norm(got - approx) <= 0.5 * np.linalg.norm(approx)
 
 

@@ -67,6 +67,7 @@ def manual_pre(a_dense, s, lt, seed, l=20):
         l=l,
         gamma=4,
         seed=seed,
+        pm_norm=float(np.linalg.eigvalsh(a_dense)[-1]),
     )
     pre._w_j = w_j
     return pre, c, w_j
@@ -243,12 +244,15 @@ def test_build_applies_a_to_the_probes_in_one_block(monkeypatch, path):
 
         monkeypatch.setattr(MatrixHandle, name, counting)
     if path == "psd":
+        # S A only, read off the raw array: a matrix build draws no probes
+        # and reads lambda0 and ||A|| off the sketch's own eigenvalues
         pre = build_nystrom_psd(handle, 20, 0.1, 0.01, 3)
-        passes = 3  # S A, S_l A, the probe block
+        passes, blocks = 1, 0
     else:
         pre = build_general(handle, GeneralSolveConfig(l=12, lam=0.5, seed=4))
         passes = 5  # A S^T, A^T A_tilde, ||A||_F^2, A S_l^T, the probe block
-    assert calls == {"matvec": 0, "matmat": 1}
+        blocks = 1
+    assert calls == {"matvec": 0, "matmat": blocks}
     assert pre.diagnostics()["build_passes"] == passes
 
 
@@ -299,9 +303,10 @@ def test_formula_and_reference_agree_after_build(n):
 
 
 def test_whitened_matrix_within_stated_band():
-    # With the exact tail sum supplied, the whitened matrix
-    # (A + lt I)^{1/2} M^{-1} (A + lt I)^{1/2} should stay inside [0.9, 2.4]
-    # in at least 90% of trials.
+    # With the exact eigenvalues supplied as mu, which makes lambda0 the exact
+    # (2/l) * tail sum, the whitened matrix (A + lt I)^{1/2} M^{-1}
+    # (A + lt I)^{1/2} should stay inside [0.9, 2.4] in at least 90% of
+    # trials.
     n, l = 192, 24
     hits = 0
     for seed in range(10):
@@ -312,10 +317,7 @@ def test_whitened_matrix_within_stated_band():
         )
         a = (q * vals) @ q.T
         a = 0.5 * (a + a.T)
-        tail = float(np.sort(vals)[::-1][l:].sum())
-        pre = build_nystrom_psd(
-            a, l=l, lam=1e-3, delta=0.01, seed=seed, tail_sum=tail
-        )
+        pre = build_nystrom_psd(a, l=l, lam=1e-3, delta=0.01, seed=seed, mu=vals)
         m = oracles.nystrom_dense(pre.C.to_dense(), pre.w_jittered())
         m[np.diag_indices_from(m)] += pre.lambda_tilde
         lo, hi = oracles.pencil_eig_range(a + pre.lambda_tilde * np.eye(n), m)
@@ -471,6 +473,7 @@ def test_exact_reference_size_guard():
         l=8,
         gamma=2,
         seed=0,
+        pm_norm=1.0,
     )
     with pytest.raises(SizeGuardError):
         exact_minv_reference(pre, np.zeros(4))
