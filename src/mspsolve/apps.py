@@ -1,7 +1,7 @@
-"""Applications on top of the solvers: kernel ridge regression (rank read off
-one Nystrom sketch of K), tall least squares by one Lanczos run preconditioned
-by the sketched Gram (Psi A)^T (Psi A), the ridge black-box contract, and a
-Hutchinson trace estimator.
+"""Applications on top of the solvers: kernel ridge regression (preconditioned
+by the Nystrom build its effective dimension is read off), tall least squares
+by one Lanczos run preconditioned by the sketched Gram (Psi A)^T (Psi A), the
+ridge black-box contract, and a Hutchinson trace estimator.
 """
 
 from __future__ import annotations
@@ -97,27 +97,26 @@ def _estimate_effective_dim(
     delta: float,
     seed: int,
     l_boot: int = 64,
-) -> Tuple[float, int, np.ndarray]:
-    """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom sketch of K.
+) -> Tuple[float, int, nystrom.NystromPreconditioner]:
+    """d_lambda = tr(K(K+lam*I)^{-1}) read off one Nystrom build of K.
 
-    Only the sketch is formed (nystrom.psd_sketch): no lambda0 probes and no
-    level-2 factor.  The estimate is sum mu/(mu+lam) over the eigenvalues mu
-    of K_nys = C W_j^{-1} C^T (nystrom.nystrom_eigenvalues, W_j from the
-    first rung of the jitter ladder that factors).  The sketch has resolved
-    d_lambda when s = n or mu_min <= lam; otherwise l_boot doubles, at most
-    twice, and n is returned, which forces the dense fallback upstream.
-    Returns (estimate, retries, mu ascending).
+    The estimate is sum mu/(mu+lam) over the eigenvalues mu of
+    K_nys = C W_j^{-1} C^T that the build reads (nystrom.build_nystrom_psd at
+    rank l_boot).  The build has resolved d_lambda when s = n or
+    mu_min <= lam; otherwise l_boot doubles, at most twice, and n is
+    returned, which forces the dense fallback upstream.
+    Returns (estimate, retries, the last build).
     """
     n = k.rows
     retries = 0
     while True:
         l_eff, _ = clamp_rank(min(l_boot, max(n // 2, 1)), n)
-        c, w, _ = nystrom.psd_sketch(k, l_eff, delta, seed + 17, n)
-        mu = nystrom.nystrom_eigenvalues(c.to_dense(), nystrom.jittered_cholesky(w, "W")[0])
-        if c.cols == n or mu[0] <= lam:
-            return float(np.sum(mu / (mu + lam))), retries, mu
+        pre = nystrom.build_nystrom_psd(k, l_eff, lam, delta, seed + 17)
+        mu = pre.mu
+        if pre.s == n or mu[0] <= lam:
+            return float(np.sum(mu / (mu + lam))), retries, pre
         if retries >= 2:
-            return float(n), retries, mu
+            return float(n), retries, pre
         retries += 1
         l_boot *= 2
 
@@ -132,12 +131,10 @@ def solve_krr(
 ) -> SolveReport:
     """Kernel ridge regression solve (K + lam*I) alpha = y.
 
-    Reads d_lambda off one Nystrom sketch of K, sets the sketch rank
-    l ~ 2*d_lambda and runs the PSD solver once; a dense direct solve takes
-    over when sketching cannot pay (d_hat > n/4) or the sketch is unresolved.
-    The build takes the read's Nystrom eigenvalues mu in place of its own
-    (build_nystrom_psd(mu=)), so it solves no second eigenproblem: lambda0
-    and ||K|| come from the d_lambda sketch.
+    Reads d_lambda off one Nystrom build of K and runs the PSD solver once,
+    preconditioned by that same build (rank l_boot, lambda0 and ||K|| from
+    its own eigenvalues); a dense direct solve takes over when sketching
+    cannot pay (d_hat > n/4) or the build is unresolved.
     """
     t_start = time.perf_counter()
     if lam <= 0.0:
@@ -149,9 +146,10 @@ def solve_krr(
     y = as_vector(y, k.rows)
     n = k.rows
 
-    d_hat, retries, mu = _estimate_effective_dim(k, lam, delta, seed)
+    d_hat, retries, pre = _estimate_effective_dim(k, lam, delta, seed)
 
     if d_hat > n / 4.0:
+        del pre  # its C and Y can be as large as K here
         reg = np.array(k.to_dense())
         reg[np.diag_indices(n)] += lam
         x = dense_factor_solve(MatrixHandle(reg, sym="spd"), y)
@@ -165,15 +163,13 @@ def solve_krr(
             diagnostics={"d_lambda_estimate": d_hat, "bootstrap_retries": retries},
         )
 
-    l = clamp_rank(min(math.ceil(2.0 * d_hat), n // 2), n)[0]
-    cfg = PsdSolveConfig(l=l, lam=lam, eps=eps, delta=delta, seed=seed)
-    pre = nystrom.build_nystrom_psd(k, l, lam, delta, seed, mu=mu)
+    cfg = PsdSolveConfig(l=pre.l, lam=lam, eps=eps, delta=delta, seed=seed)
     report = solve_psd(k, y, cfg, pre=pre)
     report.method = "krr"
     report.wall_ms = (time.perf_counter() - t_start) * 1e3
     report.diagnostics["d_lambda_estimate"] = d_hat
     report.diagnostics["bootstrap_retries"] = retries
-    report.diagnostics["l_choice"] = l
+    report.diagnostics["l_choice"] = pre.l
     return report
 
 

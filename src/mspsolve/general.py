@@ -42,7 +42,7 @@ from .core import power_method_norm  # noqa: F401
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos
 from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
-                      cho_apply, jittered_cholesky, lambda0_from_probes, nystrom_eigenvalues)
+                      cho_apply, jittered_cholesky, lambda0_from_probes, nystrom_core)
 from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1, solve_psd
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
@@ -56,10 +56,11 @@ class GeneralSolveConfig(PsdSolveConfig):
 class GeneralMspState(NystromPreconditioner):
     """The Nystrom preconditioner of A^T A plus what levels 2 and 3 need.
 
-    C = A^T A_tilde and W = A_tilde^T A_tilde with A_tilde = A S^T.  `inner`
-    is None: level 2 is preconditioned by M2 = W_j^2 + lt*W_j through level 3,
-    whose prefactored sketch Grams are m3a_factor and m3b_factor, both formed
-    from A_hat = Phi A_tilde with the phi_rows-row subspace embedding Phi.
+    C = A^T A_tilde and W = A_tilde^T A_tilde with A_tilde = A S^T.  `Y` and
+    `inner` are None: level 2 is preconditioned by M2 = W_j^2 + lt*W_j
+    through level 3, whose prefactored sketch Grams are m3a_factor and
+    m3b_factor, both formed from A_hat = Phi A_tilde with the phi_rows-row
+    subspace embedding Phi.
     """
 
     a: MatrixHandle
@@ -92,7 +93,7 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     with ||A^T A||_F^2, which would drown the tail whenever the spectrum has
     large outliers.  The exact ||A||_F^2 = tr(A^T A) anchors the floor and
     the sanity check.  ||A^T A|| is taken as mu_max, the top eigenvalue of
-    C W_j^{-1} C^T (nystrom_eigenvalues), read off W's factor.
+    C W_j^{-1} C^T (nystrom_core), read off W's factor.
 
     The build streams A five times (`build_passes`): A S^T, A^T A_tilde,
     ||A||_F^2, A S_l^T and the probe block.
@@ -160,9 +161,9 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
         l=l_eff,
         gamma=gamma,
         seed=cfg.seed,
-        pm_norm=float(nystrom_eigenvalues(c_block, w_factor)[-1]),
+        mu=nystrom_core(c_block, w_factor)[2],
         build_passes=5,
-        probes=LAMBDA0_PROBES,
+        build_matvecs=LAMBDA0_PROBES,
         a=a,
         phi_rows=phi.phi,
         a_tilde=a_tilde,

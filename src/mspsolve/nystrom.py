@@ -1,24 +1,30 @@
 """Coarse Nystrom preconditioner M = A_nys + lambda_tilde*I from a sparse sketch.
 
-Given PSD A sketched by a sparse embedding S, the preconditioner is defined by
-C = A S^T and W = S A S^T through the regularized inversion formula
+Given PSD A sketched by a sparse embedding S, the approximation is
+A_nys = C W_j^{-1} C^T with C = A S^T and W = S A S^T (W_j jittered).  With
+L the Cholesky factor of W_j and Y = L^{-1} C^T (s x n), A_nys = Y^T Y, so
+Woodbury gives
 
-    M^{-1} = (1/lt) * (I - C (C^T C + lt*W)^{-1} C^T),      lt = lambda + lambda0,
+    M^{-1} = (1/lt) * (I - Y^T G^{-1} Y),   G = Y Y^T + lt*I,   lt = lambda + lambda0,
 
-which never forms the rank-s approximation C W^{-1} C^T explicitly.  lambda0
-compensates for the spectral tail that rank l cannot capture: its target value
-is (2/l) * sum_{i>l} lambda_i(A).  The build reads the eigenvalues mu of its
-own approximation (nystrom_eigenvalues).  A_nys <= A gives mu_i <= lambda_i(A),
-so mu_max stands in for ||A|| and, for a matrix, tr(A) - sum_{i<=l} mu_i bounds
-the tail sum from above (Frangella, Tropp & Udell, SIMAX 2023).  An
-operator-only A has no exact trace; its tail is estimated stochastically from
-a separate l-row sketch.
+which never forms the rank-s approximation explicitly.  Frangella, Tropp &
+Udell (SIMAX 2023) apply their Nystrom preconditioner from the same Y.
+G >= lt*I, so its Cholesky factorization cannot fail once W has factored.
+The normal-equations path applies the same M^{-1} through the equivalent
+formula (1/lt) * (I - C (C^T C + lt*W_j)^{-1} C^T) (apply_minv_via_formula).
+
+lambda0 compensates for the spectral tail that rank l cannot capture: its
+target value is (2/l) * sum_{i>l} lambda_i(A).  The build reads the
+eigenvalues mu of its own approximation, those of Y Y^T (nystrom_core).
+A_nys <= A gives mu_i <= lambda_i(A), so mu_max stands in for ||A|| and, for
+a matrix, tr(A) - sum_{i<=l} mu_i bounds the tail sum from above.  An
+operator-only A has no exact trace; its tail is estimated stochastically
+from a separate l-row sketch.
 
 W is symmetrized and carries a small diagonal jitter chosen once at build
 time; the jittered W is then used consistently in every formula above, so the
 inversion identity remains exact for the (jittered) preconditioner actually
-applied.  The PSD build prefactors the s x s Gram matrix C^T C + lt*W_j of
-the formula, so applying M^{-1} takes one direct solve.
+applied.
 """
 
 from __future__ import annotations
@@ -62,11 +68,11 @@ class NystromPreconditioner:
     """C = A S^T, W = S A S^T and the prefactored inner system.
 
     `jitter` is the absolute diagonal shift applied to W everywhere it is
-    used.  `inner` holds the Cholesky factor of M2 = C^T C + lt*W_j, the
-    matrix of the level-2 system M2 y = C^T r.  `pm_norm` is the estimate of
-    ||B||, B = A or A^T A: the top eigenvalue of B's Nystrom approximation.
-    The normal-equations path builds the same object for A^T A
-    (general.GeneralMspState), where `inner` is None.
+    used.  `mu` holds the eigenvalues (ascending) of B's Nystrom
+    approximation, B = A or A^T A.  On the PSD path `Y` is L^{-1} C^T and
+    `inner` the Cholesky factor of G = Y Y^T + lt*I, the level-2 matrix.  The
+    normal-equations path builds the same object for A^T A
+    (general.GeneralMspState), where `Y` and `inner` are None.
     """
 
     C: MatrixHandle
@@ -79,10 +85,13 @@ class NystromPreconditioner:
     l: int
     gamma: int
     seed: int
-    pm_norm: float
+    mu: np.ndarray
+    Y: Optional[np.ndarray] = field(default=None, repr=False)
     kappa_hat: Optional[float] = None
     build_passes: int = 0  # passes over A the build made
-    probes: int = 0  # lambda0 probes the build drew, one product with A each
+    # products with A the build made one vector (or probe) at a time, which
+    # a solve that builds counts in its matvecs
+    build_matvecs: int = 0
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
     _exact_factor: Optional[tuple] = field(default=None, repr=False)
 
@@ -93,6 +102,11 @@ class NystromPreconditioner:
     @property
     def s(self) -> int:
         return self.C.cols
+
+    @property
+    def pm_norm(self) -> float:
+        """Estimate of ||B||: mu_max, a lower bound that reads close in the design regime."""
+        return float(self.mu[-1])
 
     def w_jittered(self) -> np.ndarray:
         if self._w_j is None:
@@ -192,17 +206,19 @@ def jittered_cholesky(w: np.ndarray, what: str, then=None):
     )
 
 
-def nystrom_eigenvalues(c: np.ndarray, w_factor) -> np.ndarray:
-    """Eigenvalues mu (ascending, clipped at 0) of B_nys = C W_j^{-1} C^T.
+def nystrom_core(c: np.ndarray, w_factor) -> tuple:
+    """(Y, Y Y^T, mu) for B_nys = C W_j^{-1} C^T = Y^T Y, Y = L^{-1} C^T.
 
-    They are those of the s x s matrix Y Y^T with Y = L^{-1} C^T, L the
-    Cholesky factor of W_j.  Y is formed first: L^{-1} (C^T C) L^{-T} holds
-    the same eigenvalues in exact arithmetic but cancels where the tail is
-    small.  C W_j^{-1} C^T <= C W^+ C^T <= B for any jitter >= 0, so
-    mu_i <= lambda_i(B).
+    L is the Cholesky factor of W_j.  mu are the eigenvalues (ascending,
+    clipped at 0) of the s x s matrix Y Y^T, which are those of B_nys.  Y is
+    formed first: L^{-1} (C^T C) L^{-T} holds the same eigenvalues in exact
+    arithmetic but cancels where the tail is small.
+    C W_j^{-1} C^T <= C W^+ C^T <= B for any jitter >= 0, so
+    mu_i <= lambda_i(B).  Y Y^T (syrk) is exactly symmetric.
     """
     y = scipy.linalg.solve_triangular(w_factor[0], c.T, lower=w_factor[1], check_finite=False)
-    return np.maximum(scipy.linalg.eigvalsh(y @ y.T, check_finite=False), 0.0)
+    yyt = y @ y.T
+    return y, yyt, np.maximum(scipy.linalg.eigvalsh(yyt, check_finite=False), 0.0)
 
 
 def lambda0_from_probes(probe, n: int, w_factor, l: int, probes: int, seed: int,
@@ -313,19 +329,15 @@ def build_nystrom_psd(
     seed: int,
     *,
     n: Optional[int] = None,
-    mu: Optional[np.ndarray] = None,
 ) -> NystromPreconditioner:
     """Build the two-level Nystrom preconditioner for PSD A.
 
     Sketches C = A S^T and W = S C (psd_sketch), picks the smallest jitter
-    that makes W pass Cholesky, reads the eigenvalues mu of C W_j^{-1} C^T
-    off that factor (nystrom_eigenvalues) and prefactors the level-2 matrix
-    M2 = C^T C + lt*W_j.  A caller that already holds Nystrom eigenvalues of
-    A passes them as `mu` and skips the read (solve_krr, from its d_lambda
-    sketch; the exact eigenvalues in oracle-mode tests).  pm_norm = mu_max.
-    For a matrix, lambda0 = (2/l) * max(tr(A) - sum_{i<=l} mu_i,
-    1e-12*tr(A)) with the exact trace, an upper bound of the tail term.  An
-    operator-only A has no exact trace and takes no `mu`: its lambda0 is
+    that makes W pass Cholesky, forms Y = L^{-1} C^T, Y Y^T and its
+    eigenvalues mu (nystrom_core) and factors G = Y Y^T + lt*I in place.
+    pm_norm = mu_max.  For a matrix, lambda0 = (2/l) * max(tr(A) -
+    sum_{i<=l} mu_i, 1e-12*tr(A)) with the exact trace, an upper bound of the
+    tail term.  An operator-only A has no exact trace: its lambda0 is
     estimated from a separate l-row sketch and LAMBDA0_PROBES probes.
 
     A handle's A is streamed once (S A).  An operator-only A is applied once
@@ -345,52 +357,28 @@ def build_nystrom_psd(
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     matrix = isinstance(a, MatrixHandle)
-    if mu is not None and not matrix:
-        raise DomainError("mu needs A as a matrix, whose trace bounds the tail")
     c_handle, w, gamma = psd_sketch(a, l, delta, seed, n)
-    c = c_handle.to_dense()
 
     if matrix:
         # The diagonal gives tr(A) exactly, without densifying a CSR A.
-        trace, lambda0 = float(a.raw().diagonal().sum()), None
-        build_passes, probes = 1, 0
+        trace = float(a.raw().diagonal().sum())
+        build_passes = 1
     else:
         c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed)
         lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, LAMBDA0_PROBES, seed)
-        build_passes, probes = c_handle.cols + l + LAMBDA0_PROBES, LAMBDA0_PROBES
+        build_passes = c_handle.cols + l + LAMBDA0_PROBES
         if lam + lambda0 <= 0.0:
             raise DomainError(
                 "lambda + lambda0 must be positive; the operator appears to be zero"
             )
-    if mu is not None:
-        mu = np.sort(mu)
-
-    m2 = g_diag = None
-
-    def factor_m2(w_j, jitter, w_factor):
-        # The first rung reads mu and lambda0 off W's factor.  c.T @ c (syrk)
-        # and W_j are exactly symmetric, so M2's transpose is the
-        # Fortran-ordered array LAPACK factors in place, without a copy.
-        # potrf writes only M2's upper triangle and diagonal, so a later rung
-        # restores the upper triangle from the lower one, whose off-diagonal
-        # G + lt*W does not depend on the jitter, and resets the diagonal:
-        # G = C^T C is formed once per build.
-        nonlocal m2, g_diag, mu, lambda0
-        if m2 is None:
-            if mu is None:
-                mu = nystrom_eigenvalues(c, w_factor)
-            if matrix:  # mu[-l:] is all of mu when l exceeds its length
-                lambda0 = (2.0 / l) * max(trace - float(np.sum(mu[-l:])), 1e-12 * trace)
-            m2 = c.T @ c
-            g_diag = m2.diagonal().copy()
-            m2 += (lam + lambda0) * w_j
-        else:
-            for i in range(m2.shape[0] - 1):
-                m2[i, i + 1:] = m2[i + 1:, i]
-            np.fill_diagonal(m2, g_diag + (lam + lambda0) * w_j.diagonal())
-        return scipy.linalg.cho_factor(m2.T, lower=True, overwrite_a=True, check_finite=False)
-
-    _, w_j, jitter, inner = jittered_cholesky(w, "W", then=factor_m2)
+    w_factor, w_j, jitter, _ = jittered_cholesky(w, "W")
+    y, g, mu = nystrom_core(c_handle.to_dense(), w_factor)
+    if matrix:  # mu[-l:] is all of mu when l exceeds its length
+        lambda0 = (2.0 / l) * max(trace - float(np.sum(mu[-l:])), 1e-12 * trace)
+    g[np.diag_indices_from(g)] += lam + lambda0
+    # G is exactly symmetric, so its transpose is the Fortran-ordered array
+    # LAPACK factors in place, without a copy.
+    inner = scipy.linalg.cho_factor(g.T, lower=True, overwrite_a=True, check_finite=False)
     pre = NystromPreconditioner(
         C=c_handle,
         W=MatrixHandle(w, sym="spd"),
@@ -402,9 +390,10 @@ def build_nystrom_psd(
         l=l,
         gamma=gamma,
         seed=seed,
-        pm_norm=float(mu[-1]),
+        mu=mu,
+        Y=y,
         build_passes=build_passes,
-        probes=probes,
+        build_matvecs=0 if matrix else build_passes,
     )
     pre._w_j = w_j
     return pre

@@ -1,10 +1,10 @@
 """Two-level solver for (A + lam*I) x = b with symmetric PSD A.
 
 Level 1 is preconditioned Lanczos on the original system, with the Nystrom
-preconditioner applied through the inversion formula.  The Gram system that
-the formula needs, (C^T C + lt*W_j) y = C^T r, is level 2.  The build
-prefactors that s x s matrix itself, M2 = C^T C + lt*W_j, so level 2 is one
-exact direct solve through the factor.
+preconditioner M = Y^T Y + lt*I applied through Woodbury:
+M^{-1} r = (r - Y^T G^{-1} Y r) / lt.  The s x s system with
+G = Y Y^T + lt*I is level 2; the build prefactors G, so level 2 is one exact
+direct solve through the factor.
 
 The iteration budget is derived at run time.  Level 1 is one Lanczos run;
 at step WARMUP_ITERS its own T supplies Ritz values, whose spread
@@ -33,7 +33,7 @@ from .core import MatrixHandle, as_vector, operator_of
 from .core import power_method_norm  # noqa: F401
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos, ritz_values
-from .nystrom import NystromPreconditioner, apply_minv_via_formula, build_nystrom_psd, cho_apply
+from .nystrom import NystromPreconditioner, build_nystrom_psd, cho_apply
 from .report import SolveReport
 
 
@@ -93,18 +93,13 @@ def solve_m1_psd(
     r: np.ndarray,
     counters: Optional[dict] = None,
 ) -> np.ndarray:
-    """M^{-1} r: one direct solve of the level-2 Gram system, then the formula.
+    """M^{-1} r = (r - Y^T G^{-1} Y r) / lt: one direct solve with the prefactored G.
 
-    The prefactored M2 is the Gram matrix C^T C + lt*W_j, so level 2 is exact
-    and counts as one run of one step.
+    Level 2 is exact and counts as one run of one step.
     """
-    m2_solve = cho_apply(pre.inner)
-
-    def inner(rhs, tol):
-        _tally(counters, "level2", 1)
-        return m2_solve(rhs)
-
-    return apply_minv_via_formula(pre, r, inner, 0.0)
+    r = as_vector(r, pre.n)
+    _tally(counters, "level2", 1)
+    return (r - pre.Y.T @ cho_apply(pre.inner)(pre.Y @ r)) / pre.lambda_tilde
 
 
 def two_phase_lanczos(
@@ -180,8 +175,7 @@ def solve_level1(
     in the report's iterations; path_diagnostics(pre) adds the path's own
     diagnostics.
     matvecs counts the products with A this call made: level 1's steps and
-    residual checks, and one per lambda0 probe when this call built a `pre`
-    that drew probes (the probes share one block product).
+    residual checks, and pre.build_matvecs when this call built `pre`.
     """
     t_start = time.perf_counter()
     n = b.shape[0]
@@ -230,7 +224,7 @@ def solve_level1(
     return report(
         {"level1": ws.iterations, "warmup": min(ws.iterations, WARMUP_ITERS)},
         x=x, status=ws.status, stop_reason=ws.stop_reason,
-        matvecs=products * ws.n_matvec + (pre.probes if built else 0),
+        matvecs=products * ws.n_matvec + (pre.build_matvecs if built else 0),
         residual_history=[[i, r] for i, r in ws.checkpoints],
         kappa_m_estimate=kappa_m,
         diagnostics={
@@ -283,9 +277,10 @@ def solve_psd(
         return {
             "level2_solver": "cholesky",
             "matvec_note": "matvecs counts the A applications this call made: level 1, "
-            "and one per lambda0 probe when it built the preconditioner of an "
-            "operator-only A, though the probes share one block product (the build's "
-            "passes over A are preconditioner.build_passes)",
+            "and, when it built the preconditioner of an operator-only A, the build's "
+            "applications to the columns of S^T, of the l-row probe sketch and of the "
+            "lambda0 probes (preconditioner.build_passes; a matrix build streams A once "
+            "and adds none)",
         }
 
     return solve_level1(

@@ -302,8 +302,9 @@ def test_criterion_06_spectral_approximation():
 # --------------------------------------------------------------------------
 # 7. Inner-system conditioning at genuinely sketched sizes (s <= 128 so the
 #    pencils are dense-eig cheap): kappa_M2 <= 6 on the general path, <= 9 on
-#    the PSD path (whose M2 is the level-2 matrix itself, so its pencil range
-#    is 1 +- 1e-8), kappa_M3a/M3b <= 9; >= 90% of seeds each.
+#    the PSD path (whose factor is of the level-2 matrix G = Y Y^T + lt*I
+#    itself, so its pencil range is 1 +- 1e-8), kappa_M3a/M3b <= 9; >= 90% of
+#    seeds each.
 # --------------------------------------------------------------------------
 
 def test_criterion_07_inner_conditioning():
@@ -315,11 +316,11 @@ def test_criterion_07_inner_conditioning():
         vals = np.concatenate([r.uniform(1e4, 2e4, 6), r.uniform(1.0, 2.0, n_big - 6)])
         pre = build_nystrom_psd(householder_psd(n_big, vals, seed + 70),
                                 l=10, lam=0.0, delta=0.01, seed=seed)
-        c = pre.C.to_dense()
-        w_j = pre.w_jittered()
-        g2 = c.T @ c + pre.lambda_tilde * w_j
-        lo, hi = oracles.pencil_eig_range(g2, tri_reconstruct(pre.inner))
-        assert 1.0 - 1e-8 <= lo <= hi <= 1.0 + 1e-8, f"seed {seed}: M2 is not the level-2 matrix"
+        l_w = scipy.linalg.cholesky(pre.w_jittered(), lower=True)
+        y = scipy.linalg.solve_triangular(l_w, pre.C.to_dense().T, lower=True)
+        g = y @ y.T + pre.lambda_tilde * np.eye(pre.s)
+        lo, hi = oracles.pencil_eig_range(g, tri_reconstruct(pre.inner))
+        assert 1.0 - 1e-8 <= lo <= hi <= 1.0 + 1e-8, f"seed {seed}: G is not the level-2 matrix"
         psd_hits += (hi / lo) <= 9.0
         psd_worst = max(psd_worst, hi / lo)
 
@@ -350,7 +351,7 @@ def test_criterion_07_inner_conditioning():
         g3b_w = max(g3b_w, hi / lo)
 
     ok = min(psd_hits, g2_hits, g3a_hits, g3b_hits) >= 9
-    _line(7, ok, f"inner kappas: psd-M2 {psd_hits}/10 (worst {psd_worst:.2f} <= 9), "
+    _line(7, ok, f"inner kappas: psd-G {psd_hits}/10 (worst {psd_worst:.2f} <= 9), "
           f"gen-M2 {g2_hits}/10 (worst {g2_w:.2f} <= 6), "
           f"M3a {g3a_hits}/10 (worst {g3a_w:.2f} <= 9), "
           f"M3b {g3b_hits}/10 (worst {g3b_w:.2f} <= 9)")

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mspsolve.apps import solve_krr
 from mspsolve.config import (GAMMA_MAX, JITTER_INITIAL, LAMBDA0_PROBES, sketch_nnz_per_column,
                              sketch_rows)
 from mspsolve.core import MatrixHandle
@@ -55,7 +54,6 @@ def manual_pre(a_dense, s, lt, seed, l=20):
     w = 0.5 * (w + w.T)
     jitter = 1e-12 * np.trace(w) / s
     w_j = w + jitter * np.eye(s)
-    inner = scipy.linalg.cho_factor(c.T @ c + lt * w_j, lower=True)
     pre = NystromPreconditioner(
         C=MatrixHandle(c),
         W=MatrixHandle(w, sym="spd"),
@@ -63,11 +61,11 @@ def manual_pre(a_dense, s, lt, seed, l=20):
         lambda0=lt,
         lam=0.0,
         jitter=jitter,
-        inner=inner,
+        inner=None,
         l=l,
         gamma=4,
         seed=seed,
-        pm_norm=float(np.linalg.eigvalsh(a_dense)[-1]),
+        mu=np.linalg.eigvalsh(a_dense),
     )
     pre._w_j = w_j
     return pre, c, w_j
@@ -303,10 +301,10 @@ def test_formula_and_reference_agree_after_build(n):
 
 
 def test_whitened_matrix_within_stated_band():
-    # With the exact eigenvalues supplied as mu, which makes lambda0 the exact
-    # (2/l) * tail sum, the whitened matrix (A + lt I)^{1/2} M^{-1}
-    # (A + lt I)^{1/2} should stay inside [0.9, 2.4] in at least 90% of
-    # trials.
+    # With lambda0 read off the build's own Nystrom eigenvalues, an upper
+    # bound of the (2/l) * tail sum, the whitened matrix (A + lt I)^{1/2}
+    # M^{-1} (A + lt I)^{1/2} should stay inside [0.9, 2.4] in at least 90%
+    # of trials.
     n, l = 192, 24
     hits = 0
     for seed in range(10):
@@ -317,7 +315,7 @@ def test_whitened_matrix_within_stated_band():
         )
         a = (q * vals) @ q.T
         a = 0.5 * (a + a.T)
-        pre = build_nystrom_psd(a, l=l, lam=1e-3, delta=0.01, seed=seed, mu=vals)
+        pre = build_nystrom_psd(a, l=l, lam=1e-3, delta=0.01, seed=seed)
         m = oracles.nystrom_dense(pre.C.to_dense(), pre.w_jittered())
         m[np.diag_indices_from(m)] += pre.lambda_tilde
         lo, hi = oracles.pencil_eig_range(a + pre.lambda_tilde * np.eye(n), m)
@@ -378,67 +376,71 @@ def test_zero_matrix_reports_rank_collapse():
         build_nystrom_psd(np.zeros((64, 64)), l=8, lam=1.0, delta=0.01, seed=0)
 
 
+def _fails_first_rungs(s, seed):
+    """Symmetric s x s W with one eigenvalue at -1e-10*tr(W)/s: the ladder's
+    rungs below 1e-10*tr(W)/s fail, the next ones factor."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+    vals = rng.uniform(1.0, 2.0, s)
+    vals[0] = -1e-10 * np.sum(vals[1:]) / s
+    w = (q * vals) @ q.T
+    return 0.5 * (w + w.T)
+
+
 def test_failed_jitter_rungs_leave_no_exception_alive():
     # A kept LinAlgError's traceback holds the ladder's frame, and with it
     # every s x s array there, in a reference cycle only the cyclic collector
-    # frees.  This instance climbs the ladder.
-    k, y, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
+    # frees.  W itself fails the ladder's first rungs here.
+    w = _fails_first_rungs(120, seed=1)
     gc.collect()
     gc.disable()
     try:
-        rep = solve_krr(k, y, 1e-2, 1e-6)
+        _, _, jitter, _ = jittered_cholesky(w, "W")
         alive = [o for o in gc.get_objects() if isinstance(o, np.linalg.LinAlgError)]
     finally:
         gc.enable()
-    pre = rep.preconditioner
-    first_rung = JITTER_INITIAL * np.trace(pre.W.to_dense()) / pre.s
-    assert pre.jitter > 1.5 * first_rung
+    first_rung = JITTER_INITIAL * np.trace(w) / 120
+    assert jitter > 1.5 * first_rung
     assert alive == []
 
 
-def test_jitter_ladder_factors_m2_as_formed_at_the_chosen_rung():
-    # M2 fails Cholesky at the first rung here, so the ladder reuses the
-    # product C^T C that potrf partly overwrote.
+def test_psd_build_factors_g_as_formed():
+    # The level-2 matrix is G = Y Y^T + lt*I, factored in place from the
+    # Y the build keeps.
     k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
-    delta, seed = 0.01, 0
-    pre = build_nystrom_psd(k, 60, 1e-2, delta, seed)
-    w = pre.W.to_dense()
-    first_rung = JITTER_INITIAL * np.trace(w) / pre.s
-    assert pre.jitter > 1.5 * first_rung
-    c = pre.C.to_dense()
-
-    def m2_at(jitter):
-        w_j = w.copy()
-        w_j[np.diag_indices_from(w_j)] += jitter
-        return c.T @ c + pre.lambda_tilde * w_j
-
-    with pytest.raises(scipy.linalg.LinAlgError):
-        scipy.linalg.cho_factor(m2_at(first_rung), lower=True, check_finite=False)
-    want = scipy.linalg.cho_factor(m2_at(pre.jitter), lower=True, check_finite=False)[0]
+    pre = build_nystrom_psd(k, 60, 1e-2, 0.01, 0)
+    g = pre.Y @ pre.Y.T
+    g[np.diag_indices_from(g)] += pre.lambda_tilde
+    want = scipy.linalg.cho_factor(g.T, lower=True, check_finite=False)[0]
     assert pre.inner[0].tobytes() == want.tobytes()
 
 
 def test_jitter_ladder_factors_w_once(monkeypatch):
-    # M2 fails at the lower rungs of this build; W_j, positive definite from
-    # the first rung on, is factored there and never again.
+    # `then` fails at the lower rungs here (as the general path's level-3
+    # factors can); W_j, positive definite from the first rung on, is
+    # factored there and never again, and every `then` call gets that factor.
     k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
-    factored = []
+    w = build_nystrom_psd(k, 60, 1e-2, 0.01, 0).W.to_dense()
+    factored, seen = [], []
     original = scipy.linalg.cho_factor
 
     def spy(a, *args, **kwargs):
         factored.append(np.array(a, copy=True))
         return original(a, *args, **kwargs)
 
+    def then(w_j, jitter, factor):
+        seen.append(factor)
+        if len(seen) < 3:
+            raise scipy.linalg.LinAlgError("not positive definite")
+        return "done"
+
     monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
-    pre = build_nystrom_psd(k, 60, 1e-2, 0.01, 0)
-    w = pre.W.to_dense()
-    off = ~np.eye(pre.s, dtype=bool)
-    w_calls = [m for m in factored if m.shape == w.shape and np.array_equal(m[off], w[off])]
-    m2_calls = [m for m in factored if m.shape == w.shape and not np.array_equal(m[off], w[off])]
-    rungs = round(np.log10(pre.jitter / (JITTER_INITIAL * np.trace(w) / pre.s))) + 1
-    assert rungs >= 2
-    assert len(w_calls) == 1
-    assert len(m2_calls) == rungs
+    factor, _, jitter, extra = jittered_cholesky(w, "W", then=then)
+    rungs = round(np.log10(jitter / (JITTER_INITIAL * np.trace(w) / w.shape[0]))) + 1
+    assert extra == "done"
+    assert rungs == len(seen) == 3
+    assert len(factored) == 1
+    assert all(f is factor for f in seen)
 
 
 def test_psd_and_general_sketch_sizes():
@@ -473,7 +475,7 @@ def test_exact_reference_size_guard():
         l=8,
         gamma=2,
         seed=0,
-        pm_norm=1.0,
+        mu=np.ones(1),
     )
     with pytest.raises(SizeGuardError):
         exact_minv_reference(pre, np.zeros(4))

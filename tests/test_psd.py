@@ -7,10 +7,11 @@ import scipy.sparse as sp
 import mspsolve.core
 import mspsolve.general
 import mspsolve.psd
-from mspsolve.config import OSE_EPSILON, WARMUP_ITERS, ose_rows
+from mspsolve.config import LAMBDA0_PROBES, OSE_EPSILON, WARMUP_ITERS, ose_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.general import GeneralSolveConfig, solve_normal
+from mspsolve.instances import InstanceSpec, gen_instance
 from mspsolve.nystrom import build_nystrom_psd
 from mspsolve.psd import PsdSolveConfig, clamp_rank, solve_m1_psd, solve_psd
 
@@ -117,6 +118,26 @@ def test_sparse_and_callable_inputs_agree():
             == rep_callable.preconditioner.C.to_dense().tobytes())
 
 
+def test_matvecs_counts_every_application_of_an_operator_only_a():
+    # A building call applies an operator-only A to the s + l sketch columns
+    # and the lambda0 probes one vector at a time; matvecs counts them all.
+    n = 128
+    a = flat_tail_psd(n, 8, 1e3, seed=9)
+    calls = []
+
+    def op(v):
+        calls.append(1)
+        return a @ v
+
+    b = np.random.default_rng(10).standard_normal(n)
+    rep = solve_psd(op, b, PsdSolveConfig(l=16, lam=0.2, seed=11))
+    pre = rep.preconditioner
+    assert rep.converged
+    assert pre.build_passes == pre.s + pre.l + LAMBDA0_PROBES
+    assert len(calls) == rep.matvecs
+    assert rep.matvecs == pre.build_passes + rep.iterations["level1"] + len(rep.residual_history)
+
+
 def test_preconditioner_reuse_across_right_hand_sides():
     n = 128
     a = flat_tail_psd(n, 8, 1e3, seed=9)
@@ -221,6 +242,19 @@ def test_solve_m1_identity_ose_is_one_direct_solve(monkeypatch):
     )
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert counters["level2_total"] == counters["level2_runs"] == 1
+
+
+def test_solve_m1_solves_the_dense_preconditioner_on_an_rbf_kernel():
+    # An rbf kernel's W is nearly singular; the level-2 matrix
+    # G = Y Y^T + lt*I does not square its conditioning, so one apply meets
+    # M = C W_j^{-1} C^T + lt*I formed densely to a small residual.
+    k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=400, bandwidth=1.0, seed=0))
+    pre = build_nystrom_psd(k, 60, 1e-2, 0.01, 0)
+    m = oracles.nystrom_dense(pre.C.to_dense(), pre.w_jittered())
+    m[np.diag_indices_from(m)] += pre.lambda_tilde
+    r = np.random.default_rng(0).standard_normal(400)
+    z = solve_m1_psd(pre, r)
+    assert np.linalg.norm(m @ z - r) <= 1e-10 * np.linalg.norm(r)
 
 
 def test_level2_is_one_direct_solve_when_phi_would_sketch(monkeypatch):
