@@ -55,9 +55,14 @@ def solve_plain_lanczos(
     <= eps/sqrt(kappa_hat), kappa_hat the inflated Ritz ratio of its T there.
     Since ||e||_B/||x||_B <= sqrt(kappa(B)) ||r||/||b||, that certifies
     energy error eps as far as kappa_hat covers kappa(B).
+
+    An ndarray A is wrapped as an "spd" handle, so its products go through
+    the same dsymv that `solve_psd` runs on it, and an asymmetric or
+    non-square array raises DomainError.
     """
     t0 = time.perf_counter()
-    a = a if isinstance(a, MatrixHandle) else MatrixHandle(np.asarray(a, dtype=float))
+    if not isinstance(a, MatrixHandle):
+        a = MatrixHandle(np.asarray(a, dtype=float), sym="spd")
     if a.rows != a.cols:
         raise DomainError(f"square system required, got {a.rows}x{a.cols}")
     if lam < 0.0:

@@ -49,6 +49,17 @@ def test_plain_lanczos_identity_and_validation():
         solve_plain_lanczos(a, b, lam=-1.0)
 
 
+def test_plain_lanczos_wraps_an_array_as_symmetric():
+    # An ndarray runs on the same "spd" product solve_psd uses, so a
+    # nonsymmetric or non-square array is rejected rather than solved.
+    g = rng.standard_normal((6, 6))
+    rep = solve_plain_lanczos(g @ g.T + 6.0 * np.eye(6), np.ones(6), eps=1e-10)
+    assert rep.converged
+    for bad in (np.triu(np.ones((30, 30))), np.ones((4, 3))):
+        with pytest.raises(DomainError):
+            solve_plain_lanczos(bad, np.ones(bad.shape[0]))
+
+
 @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-3])
 def test_plain_lanczos_converged_means_energy_error_within_eps(eps):
     # The baseline stops at relres <= eps/sqrt(kappa_hat) after its Ritz read,

@@ -112,6 +112,62 @@ def test_handle_spd_flag_requires_square():
         MatrixHandle(np.ones((3, 2)), sym="spd")
 
 
+def test_empty_spd_handle_is_symmetric():
+    for sym in ("general", "spd"):
+        h = MatrixHandle(np.zeros((0, 0)), sym=sym)
+        assert h.matvec(np.zeros(0)).shape == (0,)
+        assert h.rmatvec([]).shape == (0,)
+
+
+def _symmetric(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g + g.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 257])
+def test_spd_dense_matvec_matches_product(n):
+    rng = np.random.default_rng(n)
+    a = _symmetric(n, n)
+    h = MatrixHandle(a, sym="spd")
+    ints = rng.integers(-5, 6, size=n)
+    strided = rng.standard_normal(3 * n)[::3]
+    for x in (list(rng.standard_normal(n)), ints, strided):
+        want = a @ np.asarray(x, dtype=np.float64)
+        got = h.matvec(x)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        assert np.array_equal(h.rmatvec(x), got)
+
+
+def test_spd_dense_matvec_reads_lower_triangle():
+    # A positive A and x make the upper triangle carry about half of A x, so
+    # a product that read it would be off by ~5e-15 relative.
+    n = 60
+    rng = np.random.default_rng(3)
+    g = rng.random((n, n))
+    a = g @ g.T
+    a[np.triu_indices(n, 1)] *= 1.0 + 1e-14  # passes the sampled symmetry check
+    h = MatrixHandle(a, sym="spd")
+    x = rng.random(n)
+    lower = np.tril(a) + np.tril(a, -1).T
+    want = lower @ x
+    assert np.linalg.norm(h.matvec(x) - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_spd_dense_matvec_copies_no_matrix():
+    # dsymv gets the F-ordered view of A; handing it the C-ordered array
+    # would make the binding copy all 8 MB of A on every product.
+    n = 1000
+    h = MatrixHandle(_symmetric(n, 4), sym="spd")
+    x = np.random.default_rng(4).standard_normal(n)
+    tracemalloc.start()
+    try:
+        h.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_csr_validation_rejects_bad_indices():
     data = np.array([1.0])
     indices = np.array([5])  # out of range for 2 columns
