@@ -46,15 +46,9 @@ def solve_plain_lanczos(
 ) -> SolveReport:
     """Unpreconditioned Lanczos baseline for (A + lam*I) x = b, A symmetric.
 
-    Runs on the same driver as the preconditioned solver (one run, its
-    budget set from its own Ritz values at step config.WARMUP_ITERS) with
-    the identity in place of M, so iteration counts are comparable like for
-    like.  Before the Ritz read the run aims at no target, since no residual
-    bound certifies the energy error without a kappa estimate; only a clean
-    break ends it there.  After it the run stops at relative residual
-    <= eps/sqrt(kappa_hat), kappa_hat the inflated Ritz ratio of its T there.
-    Since ||e||_B/||x||_B <= sqrt(kappa(B)) ||r||/||b||, that certifies
-    energy error eps as far as kappa_hat covers kappa(B).
+    Runs on the same driver as the preconditioned solver (one run to
+    energy error eps, budgeted from its own Ritz values) with M = I, so
+    iteration counts and stops compare like for like.
 
     An ndarray A is wrapped as an "spd" handle, so its products go through
     the same dsymv that `solve_psd` runs on it, and an asymmetric or
@@ -86,10 +80,7 @@ def solve_plain_lanczos(
         )
 
     # M = I; the copy keeps M^{-1} r a separate array from r.
-    x, ws, kappa, _ = two_phase_lanczos(
-        b_op, b, lambda r: r.copy(), float(n), None,
-        lambda theta, kappa: (eps / math.sqrt(kappa), {}), eps, trace=trace,
-    )
+    x, ws, kappa, _ = two_phase_lanczos(b_op, b, lambda r: r.copy(), float(n), eps, trace=trace)
     return SolveReport(
         x=x,
         status=ws.status,

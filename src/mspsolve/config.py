@@ -26,12 +26,13 @@ OSE_EPSILON = 0.5
 T_FACTOR = 4.0
 # inner (level-2 / level-3) budget multiplier on the log term
 INNER_BUDGET_FACTOR = 4.0
-# longest gap between true-residual checks in a Lanczos run; a run also
-# checks on each step where its recurrence says the target is met
+# longest gap between true-residual checks in a residual-target Lanczos run;
+# a run also checks on each step where its recurrence says the target is met
 CHECK_EVERY = 10
-# warmup iterations used to estimate the preconditioned condition number
+# level-1 step whose Ritz values estimate the preconditioned condition number
 WARMUP_ITERS = 10
-# Ritz-ratio inflation applied to the warmup estimate
+# Ritz inflation f: kappa = f*theta_max/theta_min; level 1's error estimate reads
+# lambda_min as theta_min/f and lambda_max as f*theta_max
 RITZ_INFLATION = 2.0
 # Hutchinson probes for the spectral-tail estimate
 LAMBDA0_PROBES = 20

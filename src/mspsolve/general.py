@@ -268,7 +268,7 @@ def solve_normal(
 
     Level 1 is psd.solve_level1 on B = A^T A; level 2 is solve_m1_general.
     The report's `matvecs` counts the vector products with A or A^T that
-    this call made: two per level-1 step and residual check, and one per
+    this call made: two per level-1 step and true residual, and one per
     lambda0 probe when this call builds the state.  It does not count the
     block products A_tilde = A S^T and C = A^T A_tilde.
     """

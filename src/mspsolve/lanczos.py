@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
-from .config import BREAKDOWN_RTOL, CHECK_EVERY
+from .config import BREAKDOWN_RTOL, CHECK_EVERY, RITZ_INFLATION, WARMUP_ITERS
 from .core import as_vector, operator_of
 from .errors import BreakdownError, DomainError, SizeGuardError
 
@@ -156,8 +156,9 @@ def preconditioned_lanczos(
     t_max: int,
     residual_target: Optional[float] = None,
     check_every: int = CHECK_EVERY,
+    error_target: Optional[float] = None,
     trace: Optional[Callable[[dict], None]] = None,
-    retarget: Optional[Tuple[int, Callable[[TridiagonalMatrix], Tuple[int, float]]]] = None,
+    retarget: Optional[Tuple[int, Callable[[TridiagonalMatrix], int]]] = None,
 ) -> Tuple[np.ndarray, LanczosWorkspace]:
     """Run the left-preconditioned Lanczos iteration for A x = b.
 
@@ -166,26 +167,38 @@ def preconditioned_lanczos(
     x_i = z' Qbar_i T_i^{-1} e1 by the coupled (D-Lanczos) update
     p_i = qbar_i - l_{i-1} p_{i-1}, x_i = x_{i-1} + z' (y_i/d_i) p_i with
     l_{i-1} = beta_{i-1}/d_{i-1} (Saad, Iterative Methods for Sparse Linear
-    Systems, 6.7.1).  Without residual_target the full t_max budget runs.
-    With it, A Qbar_i = Q_i T_i + w_i e_i^T makes
-    ||b - A x_i|| = z' |y_i/d_i| ||w_i|| free; on the step that estimate
-    meets the target, and at every multiple of check_every (the longest gap
-    between checks), the true residual of x_i is computed, one product with
-    A, and the loop exits once that is <= residual_target * ||b||.
-    retarget = (k, f) hands T_k to f on step k, which returns the run's new
-    (t_max, residual_target).  Returns the last iterate and the workspace
-    (basis, tridiagonal, status, counters).
+    Systems, 6.7.1).  A run takes at most one target; with neither, all of
+    t_max runs.
 
-    Statuses: "converged" (true residual target met, or the Krylov space
-    closed cleanly), "budget-exhausted" (t_max reached first, or, after any
-    retarget step, three checks in a row improved the true residual by under
-    1%: stop_reason "accuracy-floor" if the estimate meets the target there,
-    the recurrence-to-true residual gap being the float floor (Greenbaum
-    1997), else "stagnation"), "breakdown" (an inner product that must be
-    nonnegative came out negative beyond tolerance, returning x_i; or
-    "zero-pivot", |d_i| <= BREAKDOWN_RTOL*||u_i||*||qbar_i|| with T_i
-    numerically singular, returning x_{i-1}).  Neither can happen for PSD A
-    and M.
+    error_target: ||x_i||_A^2 = z'^2 sum_j y_j^2/d_j (Gauss quadrature;
+    Strakos & Tichy 2002, ETNA 13) and ||r_i||_{M^{-1}} = z' |y_i/d_i|
+    beta_{i+1} come free, and ||x - x_i||_A^2 <= ||r_i||_{M^{-1}}^2 /
+    lambda_min(M^{-1}A).  The run stops on the first step where that
+    estimate, lambda_min read as theta_min(T_i)/RITZ_INFLATION, is
+    <= error_target^2 ||x_i||_A^2; before step WARMUP_ITERS, whose Ritz
+    values may miss a small eigenvalue b barely touches, only if also
+    beta_{i+1} <= sqrt(BREAKDOWN_RTOL) ||(alpha_i, beta_i)|| (the Krylov
+    space closed to rounding).  There and at t_max it computes the true
+    residual r of x_i (one product with A, one M^{-1} apply).  If
+    r^T M^{-1} r / (RITZ_INFLATION theta_max), an estimate of the error's
+    lower bound r^T M^{-1} r / lambda_max, exceeds the target, the
+    recurrence ran past the float floor: "accuracy-floor".
+
+    residual_target: ||b - A x_i|| = z' |y_i/d_i| ||w_i|| comes free; on
+    the step it meets the target, and every check_every steps, the run
+    computes the true residual (one product with A) and stops once that is
+    <= residual_target * ||b||, or after three checks in a row that improve
+    it by under 1%: "accuracy-floor" if the estimate meets the target (the
+    float floor, Greenbaum 1997), else "stagnation".
+
+    retarget = (k, f) hands T_k to f on step k, which returns the run's new
+    t_max.  Returns the last iterate and the workspace.  Statuses:
+    "converged" ("error-target", "residual-target", or "clean-break":
+    w_i^T M^{-1} w_i <= BREAKDOWN_RTOL ||w_i|| ||M^{-1} w_i||);
+    "budget-exhausted" ("t-max", "accuracy-floor", "stagnation");
+    "breakdown", impossible for PSD A and M ("negative-curvature", returning
+    x_i; "zero-pivot", |d_i| <= BREAKDOWN_RTOL ||u_i|| ||qbar_i||, returning
+    x_{i-1}).
     """
     a_op = operator_of(a_apply)
     b = as_vector(b)
@@ -194,6 +207,8 @@ def preconditioned_lanczos(
         raise DomainError(f"iteration budget must be >= 1, got {t_max}")
     if check_every < 1:
         raise DomainError(f"check_every must be >= 1, got {check_every}")
+    if residual_target is not None and error_target is not None:
+        raise DomainError("a run stops on a residual or on an error target, not both")
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         raise DomainError("right-hand side is zero")
@@ -224,9 +239,9 @@ def preconditioned_lanczos(
     betas: List[float] = []
     checkpoints: List[Tuple[int, float]] = []
     flat_checks = 0  # consecutive checkpoints with < 1% residual improvement
+    energy = 0.0  # ||x_i||_A^2 / z'^2 = sum_j y_j^2/d_j
 
-    status = "budget-exhausted"
-    stop_reason = "t-max"
+    status, stop_reason = "budget-exhausted", "t-max"
 
     i = 0
     while i < t_max:
@@ -241,8 +256,7 @@ def preconditioned_lanczos(
         lower = beta / pivot
         pivot = alpha - beta * lower
         if abs(pivot) <= BREAKDOWN_RTOL * float(np.linalg.norm(u) * np.linalg.norm(q_bar)):
-            status = "breakdown"
-            stop_reason = "zero-pivot"
+            status, stop_reason = "breakdown", "zero-pivot"
             if trace:
                 trace({"i": i, "alpha": alpha, "beta": None, "resid": None})
             break
@@ -257,8 +271,7 @@ def preconditioned_lanczos(
         tol_i = BREAKDOWN_RTOL * w_norm * float(np.linalg.norm(w_bar))
 
         if ip < -tol_i:
-            status = "breakdown"
-            stop_reason = "negative-curvature"
+            status, stop_reason = "breakdown", "negative-curvature"
             if trace:
                 trace({"i": i, "alpha": alpha, "beta": None, "resid": None})
             break
@@ -268,15 +281,24 @@ def preconditioned_lanczos(
         if trace:
             trace({"i": i, "alpha": alpha, "beta": beta_next, "resid": None})
 
-        if beta_next <= tol_i or ip <= 0.0:
-            status = "converged"
-            stop_reason = "clean-break"
+        if ip <= tol_i:
+            status, stop_reason = "converged", "clean-break"
             break
 
         if retarget is not None and i == retarget[0]:
-            tri = TridiagonalMatrix(np.array(alphas), np.array(betas[: i - 1]))
-            t_max, residual_target = retarget[1](tri)
-            retarget = None
+            t_max = retarget[1](TridiagonalMatrix(np.array(alphas), np.array(betas[: i - 1])))
+
+        if error_target is not None:
+            energy += y_last * y_last / pivot
+            bound = RITZ_INFLATION * (y_last / pivot * beta_next) ** 2
+            goal = error_target * error_target * energy
+            closed = beta_next <= math.sqrt(BREAKDOWN_RTOL) * math.hypot(alpha, beta)
+            # min(alphas) >= theta_min, so this skips most Ritz solves
+            if (i >= WARMUP_ITERS or closed) and bound <= goal * min(alphas):
+                ritz = ritz_values(TridiagonalMatrix(np.array(alphas), np.array(betas[: i - 1])))
+                if bound <= goal * ritz[0]:
+                    status, stop_reason = "converged", "error-target"
+                    break
 
         met = residual_target is not None and (
             z_prime * abs(y_last / pivot) * w_norm / b_norm <= residual_target
@@ -292,12 +314,10 @@ def preconditioned_lanczos(
             if trace:
                 trace({"i": i, "alpha": alpha, "beta": beta_next, "resid": relres})
             if relres <= residual_target:
-                status = "converged"
-                stop_reason = "residual-target"
+                status, stop_reason = "converged", "residual-target"
                 break
-            if flat_checks >= 3 and retarget is None:
-                status = "budget-exhausted"
-                stop_reason = "accuracy-floor" if met else "stagnation"
+            if flat_checks >= 3:
+                status, stop_reason = "budget-exhausted", "accuracy-floor" if met else "stagnation"
                 break
 
         if i >= t_max:
@@ -306,6 +326,16 @@ def preconditioned_lanczos(
         q_under_prev = q_under
         q_bar = w_bar / beta_next
         q_under = w / beta_next
+
+    if error_target is not None and stop_reason in ("error-target", "t-max"):
+        r = b - a_op(x)
+        n_matvec += 1
+        checkpoints.append((i, float(np.linalg.norm(r)) / b_norm))
+        if trace:
+            trace({"i": i, "alpha": alphas[-1], "beta": betas[-1], "resid": checkpoints[-1][1]})
+        # ip0 = z'^2, so goal * ip0 = error_target^2 ||x_i||_A^2
+        if status == "converged" and float(r @ solve_m(r)) > RITZ_INFLATION * ritz[-1] * goal * ip0:
+            status, stop_reason = "budget-exhausted", "accuracy-floor"
 
     t = len(alphas)
     ws = LanczosWorkspace(

@@ -6,12 +6,10 @@ M^{-1} r = (r - Y^T G^{-1} Y r) / lt.  The s x s system with
 G = Y Y^T + lt*I is level 2; the build prefactors G, so level 2 is one exact
 direct solve through the factor.
 
-The iteration budget is derived at run time.  Level 1 is one Lanczos run;
-at step WARMUP_ITERS its own T supplies Ritz values, whose spread
-(inflated x2) estimates the preconditioned condition number.  That sets
-t_max and the residual target that certifies the energy-norm error
-contract, and the run continues from its own state.  Trivially easy
-systems simply converge before that step.
+Level 1 is one Lanczos run that stops once the estimate of its relative
+energy-norm error that its own LDL^T and Ritz values give meets eps (before
+step WARMUP_ITERS, only where its Krylov space closed); at step
+WARMUP_ITERS its Ritz spread (inflated x2) also sets its budget.
 `two_phase_lanczos` runs that scheme, and the plain-Lanczos baseline runs on
 it too.  `solve_level1` is level 1 around it for any PSD B with a Nystrom
 preconditioner: `solve_psd` runs it on B = A with the level 2 above, and the
@@ -107,22 +105,17 @@ def two_phase_lanczos(
     b: np.ndarray,
     solve_m,
     kappa0: float,
-    warmup_target: Optional[float],
-    main_target: Callable[[np.ndarray, float], tuple],
     eps: float,
     *,
     trace: Optional[Callable[[dict], None]] = None,
 ) -> tuple:
-    """One Lanczos run, budgeted from its own Ritz values: the scheme every solver shares.
+    """One Lanczos run to energy error eps, capped by its own Ritz values; every solver runs it.
 
-    Up to step WARMUP_ITERS the run aims at warmup_target (at none
-    when it is None, so only a clean break ends it early); easy systems
-    converge right there.  At that step its own T gives the Ritz
-    values theta and kappa (inflated, kappa0 if they give none), which size
-    t_max, the cap on the run's total steps, and main_target(theta, kappa)
-    gives the residual target the run then continues to (and its
-    diagnostics).  t_max is raised to WARMUP_ITERS when smaller and capped
-    at 2n.
+    The run stops once its estimate of the relative energy-norm error is
+    <= eps (preconditioned_lanczos's error_target; before step WARMUP_ITERS
+    only where its Krylov space closed).  At step WARMUP_ITERS its T gives
+    kappa (inflated Ritz ratio, kappa0 if none), which sizes t_max, the cap
+    on its total steps, within [WARMUP_ITERS, 2n].
 
     Returns (x, workspace, kappa, diagnostics of the budget).  kappa is the
     value t_max was sized with, or the raw Ritz estimate of the final T
@@ -131,16 +124,14 @@ def two_phase_lanczos(
     read: dict = {}
 
     def retarget(tri):
-        theta = ritz_values(tri)
         kappa = _ritz_kappa(tri) or kappa0
-        target, target_diag = main_target(theta, kappa)
         t_max = int(math.ceil(T_FACTOR * math.sqrt(kappa) * math.log(max(kappa / eps, math.e))))
         t_max = min(max(t_max, WARMUP_ITERS), 2 * b.shape[0])
-        read.update(kappa=kappa, diag={"t_max": t_max, **target_diag})
-        return t_max, target
+        read.update(kappa=kappa, diag={"t_max": t_max})
+        return t_max
 
     x, ws = preconditioned_lanczos(
-        b_op, b, solve_m, t_max=WARMUP_ITERS, residual_target=warmup_target, trace=trace,
+        b_op, b, solve_m, t_max=WARMUP_ITERS, error_target=eps, trace=trace,
         retarget=(WARMUP_ITERS, retarget),
     )
     if not read:
@@ -175,7 +166,7 @@ def solve_level1(
     in the report's iterations; path_diagnostics(pre) adds the path's own
     diagnostics.
     matvecs counts the products with A this call made: level 1's steps and
-    residual checks, and pre.build_matvecs when this call built `pre`.
+    its one true residual, and pre.build_matvecs when this call built `pre`.
     """
     t_start = time.perf_counter()
     n = b.shape[0]
@@ -203,23 +194,8 @@ def solve_level1(
     kappa_mat = (pm + lt) / lt  # cond(M): M = B_nys + lt*I tops out at mu_max + lt
     solve_m, budget_diag = level2_for(pre, kappa_mat)
 
-    def main_target(theta, kappa):
-        # lam_min(B + lam) ~ theta_min*lt/ritz_inflation from the smallest
-        # Ritz value of M^{-1}(B + lam) at the Ritz read (M >= lt*I; the
-        # inflation covers its overestimate).  pm = mu_max <= ||B|| reads
-        # 0.999 of ||B|| in the design regime but 0.6-0.9 off it, so
-        # 1.5*pm + lam estimates lam_max rather than bounding it.  Against
-        # it, a relative residual of eps/sqrt(kappa_b) certifies energy
-        # error eps.
-        theta_min = max(float(theta[0]), 1e-14 * max(float(theta[-1]), 1e-300))
-        kappa_b = max((1.5 * pm + lam) / max(theta_min * lt / RITZ_INFLATION, 1e-300), 1.0)
-        target = max(cfg.eps / math.sqrt(kappa_b), 1e-15)
-        return target, {"kappa_b_estimate": kappa_b, "residual_target": target}
-
-    x, ws, kappa_m, read_diag = two_phase_lanczos(
-        b_op, b, solve_m, kappa_mat, cfg.eps / math.sqrt(max(kappa_mat**2, 4.0)),
-        main_target, cfg.eps, trace=trace,
-    )
+    x, ws, kappa_m, read_diag = two_phase_lanczos(b_op, b, solve_m, kappa_mat, cfg.eps,
+                                                  trace=trace)
     pre.kappa_hat = kappa_m
     return report(
         {"level1": ws.iterations, "warmup": min(ws.iterations, WARMUP_ITERS)},

@@ -144,6 +144,21 @@ def test_krr_at_moderate_effective_dim():
     assert err <= 1e-6
 
 
+def test_krr_at_a_tight_eps_converges_within_eps():
+    # At eps 1e-10 the solve ends where its energy error meets eps, not at
+    # its budget.
+    n = 1500
+    k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=n, bandwidth=1.0, seed=1))
+    y = np.random.default_rng(0).standard_normal(n)
+    rep = solve_krr(k, y, lam=1e-2, eps=1e-10)
+    assert rep.method == "krr"
+    assert rep.converged
+    reg = k.to_dense() + 1e-2 * np.eye(n)
+    x_star = np.linalg.solve(reg, y)
+    e = rep.x - x_star
+    assert np.sqrt(e @ reg @ e) <= 1e-10 * np.sqrt(x_star @ y)
+
+
 def test_krr_huge_lambda_is_immediate():
     n = 300
     pts = cluster_points(n, 3, seed=5)

@@ -62,10 +62,10 @@ def test_plain_lanczos_wraps_an_array_as_symmetric():
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-3])
 def test_plain_lanczos_converged_means_energy_error_within_eps(eps):
-    # The baseline stops at relres <= eps/sqrt(kappa_hat) after its Ritz read,
-    # so a "converged" claim must hold in the energy norm, not only in the
-    # residual.  The last instance stopped before that read at relres <= eps
-    # with an energy error of 1.02e-3 at eps = 1e-3.
+    # The baseline stops on its own bound on the energy error, so a
+    # "converged" claim must hold in the energy norm.  The last instance once
+    # stopped on a residual target at relres <= eps with an energy error of
+    # 1.02e-3 at eps = 1e-3.
     specs = [InstanceSpec("k-large-psd", n=256, k=4, ratio=1e4, seed=seed) for seed in range(4)]
     specs.append(InstanceSpec("k-large-psd", n=200, k=2, ratio=1e3, seed=3))
     for spec in specs:

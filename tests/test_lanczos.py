@@ -253,6 +253,86 @@ def test_basis_stays_m_orthonormal_early():
     assert np.max(np.abs(gram - np.eye(q.shape[1]))) < 1e-6
 
 
+# -- the energy-error stop ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-14])
+def test_error_target_meets_eps_in_the_energy_norm(eps):
+    vals = np.geomspace(1e2, 1.0, 100)
+    b = np.random.default_rng(0).standard_normal(100)
+    x, ws = preconditioned_lanczos(lambda v: vals * v, b, identity_m, t_max=400, error_target=eps)
+    assert ws.status == "converged"
+    assert ws.stop_reason == "error-target"
+    e = x - b / vals
+    assert np.sqrt(e @ (vals * e)) <= eps * np.sqrt(b @ (b / vals))
+    # one true residual of the returned x, counted as one product
+    assert ws.n_matvec == ws.iterations + 1
+    assert ws.checkpoints == [(ws.iterations, float(np.linalg.norm(b - vals * x) / np.linalg.norm(b)))]
+
+
+def test_error_target_stops_where_the_krylov_space_closes():
+    # Two distinct eigenvalues: x_2 is exact, and beta_3 is rounding noise.
+    vals = np.repeat([1.0, 3.0], 50)
+    b = np.random.default_rng(1).standard_normal(100)
+    x, ws = preconditioned_lanczos(lambda v: vals * v, b, identity_m, t_max=50, error_target=1e-12)
+    assert (ws.status, ws.stop_reason, ws.iterations) == ("converged", "error-target", 2)
+    assert np.linalg.norm(x - b / vals) <= 1e-14 * np.linalg.norm(b / vals)
+
+
+@pytest.mark.parametrize("n", [2, 64])
+def test_short_t_does_not_certify_a_small_eigenvalue_b_barely_touches(n):
+    # x's energy sits mostly on lambda = 1e-10, which the Rayleigh quotient
+    # of b (T_1) does not see; a stop on T_1's Ritz value would claim eps.
+    vals = np.r_[np.ones(n - 1), 1e-10]
+    b = np.r_[np.ones(n - 1), 1e-4]
+    x, ws = preconditioned_lanczos(lambda v: vals * v, b, identity_m, t_max=50, error_target=1e-3)
+    assert ws.status == "converged"
+    e = x - b / vals
+    assert np.sqrt(e @ (vals * e)) <= 1e-3 * np.sqrt(b @ (b / vals))
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e15])
+def test_stop_does_not_depend_on_the_scale_of_a(scale):
+    vals = scale * np.geomspace(1e2, 1.0, 100)
+    b = np.random.default_rng(0).standard_normal(100)
+    x, ws = preconditioned_lanczos(lambda v: vals * v, b, identity_m, t_max=400, error_target=1e-8)
+    assert (ws.status, ws.stop_reason) == ("converged", "error-target")
+    assert ws.iterations > 50
+    e = x - b / vals
+    assert np.sqrt(e @ (vals * e)) <= 1e-8 * np.sqrt(b @ (b / vals))
+
+
+def test_error_target_below_the_float_floor_is_named_accuracy_floor():
+    # The recurrence's estimate goes on falling past what float64 reaches;
+    # the stop's true residual puts the error above 1e-16, so no convergence
+    # is claimed.
+    vals = np.geomspace(1e2, 1.0, 100)
+    b = np.random.default_rng(0).standard_normal(100)
+    x, ws = preconditioned_lanczos(lambda v: vals * v, b, identity_m, t_max=400, error_target=1e-16)
+    assert (ws.status, ws.stop_reason) == ("budget-exhausted", "accuracy-floor")
+    e = x - b / vals
+    assert np.sqrt(e @ (vals * e)) > 1e-16 * np.sqrt(b @ (b / vals))
+
+
+def test_residual_target_below_the_float_floor_is_named_accuracy_floor():
+    # A residual-mode run with no retarget, as least squares and the inner
+    # levels run: the recurrence's estimate meets 1e-17, the true residual
+    # stalls near 1e-15.
+    vals = np.geomspace(1e2, 1.0, 100)
+    b = np.random.default_rng(0).standard_normal(100)
+    x, ws = preconditioned_lanczos(lambda v: vals * v, b, identity_m, t_max=2000,
+                                   residual_target=1e-17)
+    assert (ws.status, ws.stop_reason) == ("budget-exhausted", "accuracy-floor")
+    assert ws.iterations < 2000
+    assert 1e-17 < ws.checkpoints[-1][1] <= 1e-13
+
+
+def test_a_run_takes_one_target():
+    with pytest.raises(DomainError):
+        preconditioned_lanczos(np.eye(4), np.ones(4), identity_m, t_max=3,
+                               residual_target=1e-6, error_target=1e-6)
+
+
 # -- agreement with the whitened two-sided form -------------------------------------
 
 

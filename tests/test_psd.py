@@ -88,6 +88,27 @@ def test_outlier_spectrum_hits_energy_norm_target_and_budget():
     assert rep.iterations["warmup"] + rep.iterations["level1"] <= budget
 
 
+def test_high_contrast_outliers_converge_within_eps():
+    # 16 outliers at ratio 1e6: the true residual stalls above what a
+    # residual certificate of eps asks for, while the energy error meets eps.
+    a, b, _ = gen_instance(InstanceSpec("k-large-psd", n=2048, k=16, ratio=1e6, seed=1))
+    rep = solve_psd(a, b, PsdSolveConfig(l=32, eps=1e-8, seed=0))
+    assert rep.converged
+    assert rep.stop_reason == "error-target"
+    dense = a.to_dense()
+    assert a_norm_rel_err(dense, 0.0, rep.x, np.linalg.solve(dense, b)) <= 1e-8
+
+
+def test_small_eigenvalue_b_barely_touches_is_not_missed():
+    # Most of x's energy sits on lambda = 1e-10, which the first steps'
+    # Ritz values do not see; at the stop the error must still meet eps.
+    vals = np.r_[np.ones(63), 1e-10]
+    b = np.r_[np.ones(63), 1e-4]
+    rep = solve_psd(np.diag(vals), b, PsdSolveConfig(l=8, eps=1e-3, seed=0))
+    assert rep.converged
+    assert a_norm_rel_err(np.diag(vals), 0.0, rep.x, b / vals) <= 1e-3
+
+
 @pytest.mark.parametrize("n,eps", [(96, 1e-4), (160, 1e-6), (224, 1e-8)])
 def test_energy_norm_contract_across_sizes(n, eps):
     a = flat_tail_psd(n, 6, 1e3, seed=n)
@@ -330,8 +351,8 @@ def test_no_solver_calls_the_power_method(monkeypatch, path):
 
 def test_converged_is_truthful_on_a_slowly_decaying_spectrum():
     # lambda_i = i^(-1/2) lies far outside the design regime: mu_max reads
-    # ~0.6 of ||A|| here, and 1.5*mu_max stands in for lam_max in the
-    # residual target.  Every `converged` must still meet eps.
+    # ~0.6 of ||A|| here, and the smallest Ritz value stands in for
+    # lam_min in the error estimate.  Every `converged` must still meet eps.
     n = 1000
     vals = np.arange(1, n + 1) ** -0.5
     for seed in range(2):
