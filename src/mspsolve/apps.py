@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 import scipy.spatial.distance
 
 from . import nystrom
 from .config import OSE_EPSILON
-from .core import MatrixHandle, as_vector, dense_factor_solve, operator_of
+from .core import MatrixHandle, as_vector, dense_factor, operator_of
 from .errors import DomainError
 from .general import GeneralMspState, GeneralSolveConfig, build_general, solve_normal
 from .lanczos import preconditioned_lanczos
@@ -135,6 +136,13 @@ def solve_krr(
     preconditioned by that same build (rank l_boot, lambda0 and ||K|| from
     its own eigenvalues); a dense direct solve takes over when sketching
     cannot pay (d_hat > n/4) or the build is unresolved.
+
+    The read is kept on the handle K, one entry per handle: the build (C
+    and Y, 2*n*s doubles, about 6.7 MB at n = 1500, s = 281) or, on the
+    dense fallback, the n x n Cholesky factor of K + lam*I alone.  A later
+    call on the same handle with the same (lam, delta, seed), at any eps,
+    reuses it and says so in diagnostics["d_lambda_read"] ("reused", else
+    "built"); an ndarray K gets a new handle, so a new read, every call.
     """
     t_start = time.perf_counter()
     if lam <= 0.0:
@@ -146,30 +154,40 @@ def solve_krr(
     y = as_vector(y, k.rows)
     n = k.rows
 
-    d_hat, retries, pre = _estimate_effective_dim(k, lam, delta, seed)
+    key = (lam, delta, seed)
+    read = "reused"
+    if k._krr_memo is None or k._krr_memo[0] != key:
+        k._krr_memo = None  # the old entry goes before the new read is made
+        read = "built"
+        d_hat, retries, held = _estimate_effective_dim(k, lam, delta, seed)
+        if d_hat > n / 4.0:
+            del held  # its C and Y can be as large as K here
+            reg = np.array(k.to_dense())
+            reg[np.diag_indices(n)] += lam
+            held = dense_factor(MatrixHandle(reg, sym="spd"))[1]
+        k._krr_memo = (key, d_hat, retries, held)
+    _, d_hat, retries, held = k._krr_memo
+    read_diag = {"d_lambda_estimate": d_hat, "bootstrap_retries": retries,
+                 "d_lambda_read": read}
 
-    if d_hat > n / 4.0:
-        del pre  # its C and Y can be as large as K here
-        reg = np.array(k.to_dense())
-        reg[np.diag_indices(n)] += lam
-        x = dense_factor_solve(MatrixHandle(reg, sym="spd"), y)
+    if isinstance(held, tuple):  # the Cholesky factor of K + lam*I
         return SolveReport(
-            x=x, status="converged", method="krr-dense-fallback",
+            x=scipy.linalg.cho_solve(held, y, check_finite=False),
+            status="converged", method="krr-dense-fallback",
             iterations={"level1": 0, "warmup": 0, "level2_total": 0},
             matvecs=0, residual_history=[], kappa_m_estimate=None,
             wall_ms=(time.perf_counter() - t_start) * 1e3,
             config_echo={"lam": lam, "eps": eps, "delta": delta, "seed": seed},
             stop_reason="dense-fallback",
-            diagnostics={"d_lambda_estimate": d_hat, "bootstrap_retries": retries},
+            diagnostics=read_diag,
         )
 
-    cfg = PsdSolveConfig(l=pre.l, lam=lam, eps=eps, delta=delta, seed=seed)
-    report = solve_psd(k, y, cfg, pre=pre)
+    cfg = PsdSolveConfig(l=held.l, lam=lam, eps=eps, delta=delta, seed=seed)
+    report = solve_psd(k, y, cfg, pre=held)
     report.method = "krr"
     report.wall_ms = (time.perf_counter() - t_start) * 1e3
-    report.diagnostics["d_lambda_estimate"] = d_hat
-    report.diagnostics["bootstrap_retries"] = retries
-    report.diagnostics["l_choice"] = pre.l
+    report.diagnostics.update(read_diag)
+    report.diagnostics["l_choice"] = held.l
     return report
 
 

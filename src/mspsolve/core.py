@@ -52,6 +52,11 @@ class MatrixHandle:
     sym : {"general", "spd"}
         Declared symmetry.  "spd" additionally asserts rows == cols and
         numerical symmetry, verified by sampling rather than a full scan.
+
+    A dense handle may alias the caller's array: np.ascontiguousarray does
+    not copy a C-ordered float64 input.  The handle caches what it derives
+    from the entries (dense_factor_solve's factor, solve_krr's d_lambda
+    read), so that array must not be changed in place after a solve on it.
     """
 
     def __init__(self, data, sym: Literal["general", "spd"] = "general"):
@@ -73,7 +78,8 @@ class MatrixHandle:
         self.sym = sym
         if sym == "spd":
             self._check_symmetry()
-        self._factor = None  # cached by dense_factor_solve, single-writer
+        self._factor = None  # cached by dense_factor, single-writer
+        self._krr_memo = None  # cached by apps.solve_krr, single-writer
 
     @staticmethod
     def _validate_csr(mat) -> None:
@@ -294,13 +300,10 @@ def _check_pivots(pivots: Array, scale: float, what: str) -> None:
         )
 
 
-def dense_factor_solve(a: MatrixHandle, b):
-    """Solve A X = B by a cached direct factorization of A.
-
-    Cholesky when the handle is flagged symmetric-PSD, pivoted LU otherwise.
-    The factor is cached on the handle so repeated right-hand sides reuse it.
-    B may be a vector, a 2-D array, or a MatrixHandle; the result matches.
-    """
+def dense_factor(a: MatrixHandle) -> tuple:
+    """The direct factorization of square A, cached on the handle:
+    ("cho", cho_factor pair) for an "spd" handle, ("lu", lu_factor pair)
+    otherwise."""
     if a.rows != a.cols:
         raise DimensionMismatch("direct solve needs a square matrix")
     if a._factor is None:
@@ -319,7 +322,17 @@ def dense_factor_solve(a: MatrixHandle, b):
             lu, piv = scipy.linalg.lu_factor(dense, overwrite_a=True, check_finite=False)
             _check_pivots(np.diag(lu), scale, "LU")
             a._factor = ("lu", (lu, piv))
-    kind, factor = a._factor
+    return a._factor
+
+
+def dense_factor_solve(a: MatrixHandle, b):
+    """Solve A X = B by a cached direct factorization of A.
+
+    Cholesky when the handle is flagged symmetric-PSD, pivoted LU otherwise.
+    The factor is cached on the handle so repeated right-hand sides reuse it.
+    B may be a vector, a 2-D array, or a MatrixHandle; the result matches.
+    """
+    kind, factor = dense_factor(a)
 
     wrap = None
     if isinstance(b, MatrixHandle):

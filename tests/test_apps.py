@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mspsolve.apps
+import mspsolve.core
 import mspsolve.nystrom
 import mspsolve.psd
 from mspsolve.apps import (
@@ -259,9 +260,88 @@ def test_krr_rejects_eps_outside_unit_interval_before_the_read(monkeypatch, path
     method = "krr-dense-fallback" if path == "dense" else "krr"
     assert solve_krr(k, y, lam=lam, eps=1e-6, seed=1).method == method
     monkeypatch.setattr(mspsolve.apps, "_estimate_effective_dim", _forbidden)
+    # k now holds the read of (lam, delta, seed = 1), so a call on k would
+    # not read even if eps were checked after the read; a new handle on the
+    # same entries has no read to reuse.
+    unread = MatrixHandle(k.to_dense(), sym="spd")
     for eps in (5.0, 0.0, -1.0):
         with pytest.raises(DomainError, match=r"eps must be in \(0,1\)"):
-            solve_krr(k, y, lam=lam, eps=eps, seed=1)
+            solve_krr(unread, y, lam=lam, eps=eps, seed=1)
+
+
+@pytest.mark.parametrize("path", ["dense", "msp"])
+def test_krr_second_call_on_a_handle_reuses_its_read(monkeypatch, path):
+    k, lam = _krr_instance(path)
+    rng = np.random.default_rng(6)
+    y1, y2 = rng.standard_normal(k.rows), rng.standard_normal(k.rows)
+    want = solve_krr(MatrixHandle(k.to_dense(), sym="spd"), y2, lam=lam, eps=1e-6, seed=1)
+    assert solve_krr(k, y1, lam=lam, eps=1e-6, seed=1).diagnostics["d_lambda_read"] == "built"
+    monkeypatch.setattr(mspsolve.apps, "_estimate_effective_dim", _forbidden)
+    monkeypatch.setattr(mspsolve.nystrom, "build_nystrom_psd", _forbidden)
+    rep = solve_krr(k, y2, lam=lam, eps=1e-6, seed=1)
+    assert rep.diagnostics["d_lambda_read"] == "reused"
+    assert want.diagnostics["d_lambda_read"] == "built"
+    assert rep.method == want.method
+    assert np.array_equal(rep.x, want.x)
+    assert rep.matvecs == want.matvecs
+    assert rep.diagnostics["d_lambda_estimate"] == want.diagnostics["d_lambda_estimate"]
+
+
+def test_krr_changed_lambda_delta_or_seed_reads_again(monkeypatch):
+    builds = []
+    original = mspsolve.nystrom.build_nystrom_psd
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.nystrom, "build_nystrom_psd", spy)
+    k, lam = _krr_instance("msp")
+    y = np.random.default_rng(6).standard_normal(k.rows)
+    base = {"lam": lam, "delta": 0.01, "seed": 1}
+    # The handle keeps one entry, so going back to the first key reads again.
+    for change in ({}, {"lam": 2.0 * lam}, {"delta": 0.02}, {"seed": 2}, {}):
+        before = len(builds)
+        rep = solve_krr(k, y, eps=1e-6, **{**base, **change})
+        assert rep.method == "krr"
+        assert rep.diagnostics["d_lambda_read"] == "built"
+        assert len(builds) == before + 1
+    rep = solve_krr(k, y, eps=1e-3, **base)  # eps is not part of the key
+    assert rep.diagnostics["d_lambda_read"] == "reused"
+    assert len(builds) == 5
+
+
+def test_krr_second_dense_fallback_call_does_not_factor_again(monkeypatch):
+    factorizations = []
+    original = mspsolve.core.scipy.linalg.cho_factor
+
+    def spy(a, *args, **kwargs):
+        factorizations.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(mspsolve.core.scipy.linalg, "cho_factor", spy)
+    k, lam = _krr_instance("dense")
+    rng = np.random.default_rng(6)
+    first = solve_krr(k, rng.standard_normal(k.rows), lam=lam, eps=1e-6, seed=1)
+    assert first.method == "krr-dense-fallback"
+    assert factorizations.count(k.shape) >= 1
+    factorizations.clear()
+    rep = solve_krr(k, rng.standard_normal(k.rows), lam=lam, eps=1e-6, seed=1)
+    assert rep.method == "krr-dense-fallback"
+    assert rep.diagnostics["d_lambda_read"] == "reused"
+    assert factorizations == []
+
+
+def test_krr_ndarray_kernel_is_read_on_every_call():
+    k, lam = _krr_instance("msp")
+    dense = k.to_dense()
+    y = np.random.default_rng(6).standard_normal(k.rows)
+    reps = [solve_krr(dense, y, lam=lam, eps=1e-6, seed=1) for _ in range(2)]
+    for rep in reps:
+        assert rep.method == "krr"
+        assert rep.converged
+        assert rep.diagnostics["d_lambda_read"] == "built"
+    assert np.array_equal(reps[0].x, reps[1].x)
 
 
 def test_krr_takes_norm_and_lambda0_from_the_read(monkeypatch):
