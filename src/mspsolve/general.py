@@ -3,20 +3,22 @@
 This is the PSD path (psd.py) applied to B = A^T A.  Its Nystrom
 preconditioner of B is defined by the blocks C = A^T A_tilde (n x s) and
 W = A_tilde^T A_tilde, with A_tilde = A S^T (m x s); GeneralMspState is that
-NystromPreconditioner plus A and the level-3 factors.  ||A^T A|| is read
-off the same Nystrom eigenvalues, lambda0 comes from the same Hutchinson
-estimator, and level 1 is the same driver (psd.solve_level1), at two
-products with A per apply of B.  The build forms C and W once, so levels 2
-and 3 make no product with A.  Only level 2 differs from the PSD path,
-where it is one direct solve:
+NystromPreconditioner plus A and level 3's Gram factors and inverses.
+||A^T A|| is read off the same Nystrom eigenvalues, lambda0 comes from the
+same Hutchinson estimator, and level 1 is the same driver
+(psd.solve_level1), at two products with A per apply of B.  The build
+forms C and W once, so levels 2 and 3 make no product with A.  Only level 2
+differs from the PSD path, where it is one direct solve:
 
   level 1  Lanczos on A^T A + lam*I, preconditioned by M via the inversion
            formula (SolveM1);
   level 2  Lanczos on C^T C + lt*W_j with C stored, preconditioned by
            M2 = W_j^2 + lt*W_j applied through SolveM2;
   level 3  SolveM2 = two Lanczos solves, W_j u = r and (W_j + lt*I) v = r,
-           each preconditioned by a prefactored sketch Gram (A_hat^T A_hat
-           with the matching shifts), combined as z = (u - v)/lt.
+           each preconditioned by the inverse of a sketch Gram (A_hat^T A_hat
+           with the matching shifts), combined as z = (u - v)/lt.  The
+           build forms both inverses from their Cholesky factors, so a
+           level-3 step applies its preconditioner with one s x s GEMV.
 
 The jitter chosen for W is used consistently in all of the above, so every
 inversion identity holds exactly for the operators actually applied.
@@ -42,7 +44,7 @@ from .core import power_method_norm  # noqa: F401
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos
 from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
-                      cho_apply, jittered_cholesky, lambda0_from_probes, nystrom_core)
+                      jittered_cholesky, lambda0_from_probes, nystrom_core)
 from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1, solve_psd
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
@@ -58,9 +60,12 @@ class GeneralMspState(NystromPreconditioner):
 
     C = A^T A_tilde and W = A_tilde^T A_tilde with A_tilde = A S^T.  `Y` and
     `inner` are None: level 2 is preconditioned by M2 = W_j^2 + lt*W_j
-    through level 3, whose prefactored sketch Grams are m3a_factor and
-    m3b_factor, both formed from A_hat = Phi A_tilde with the phi_rows-row
-    subspace embedding Phi.
+    through level 3, whose preconditioners are the sketch Grams
+    A_hat^T A_hat + jitter*I and A_hat^T A_hat + (jitter + lt)*I, with
+    A_hat = Phi A_tilde and Phi the phi_rows-row subspace embedding.
+    m3a_factor and m3b_factor are their Cholesky factors; m3a_inv and
+    m3b_inv their exactly symmetric inverses, formed from the factors,
+    which level 3 applies.
     """
 
     a: MatrixHandle
@@ -69,6 +74,8 @@ class GeneralMspState(NystromPreconditioner):
     a_hat: MatrixHandle
     m3a_factor: tuple
     m3b_factor: tuple
+    m3a_inv: np.ndarray
+    m3b_inv: np.ndarray
 
 
 def _frobenius_sq(a: MatrixHandle) -> float:
@@ -78,12 +85,26 @@ def _frobenius_sq(a: MatrixHandle) -> float:
     return float(np.sum(raw**2))
 
 
+def _cho_inverse(factor: tuple) -> np.ndarray:
+    """(L L^T)^{-1} from a lower cho_factor pair by LAPACK potri, exactly symmetric."""
+    c, lower = factor
+    (potri,) = scipy.linalg.get_lapack_funcs(("potri",), (c,))
+    inv, info = potri(c, lower=lower)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"potri failed with info {info}")
+    low = np.tril(inv)
+    return low + np.tril(low, -1).T
+
+
 def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
-    """Sketch A, form C and W, estimate lambda0 and ||A^T A||, prefactor level 3.
+    """Sketch A, form C and W, estimate lambda0 and ||A^T A||, invert level 3's Grams.
 
     A_tilde = A S^T, C = A^T A_tilde and W = A_tilde^T A_tilde are block
     products made once here.  C costs 2*m*n*s flops; with it stored, a
-    level-2 step costs 2*n*s + s^2 flops and no product with A.
+    level-2 step costs 2*n*s + s^2 flops and no product with A.  Level 3's
+    two sketch Grams are factored at W_j's jitter and inverted from their
+    factors (about s^3 flops each), so a level-3 step costs two s x s
+    GEMVs, one with W_j and one with the inverse.
 
     lambda0 targets (2/l) * sum_{i>l} sigma_i^2(A) = (2/l) * tr(A^T A - Nys_l),
     probed through a dedicated l-row sketch A_l = A S_l^T with the PSD
@@ -170,6 +191,8 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
         a_hat=MatrixHandle(np.asarray(a_hat)),
         m3a_factor=m3a_factor,
         m3b_factor=m3b_factor,
+        m3a_inv=_cho_inverse(m3a_factor),
+        m3b_inv=_cho_inverse(m3b_factor),
     )
     state._w_j = w_j
     return state
@@ -178,12 +201,17 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
 def inner_lanczos(op, rhs, solve_m, t_max, tol, counters, level) -> np.ndarray:
     """One inner-level Krylov run to relative residual tol, tallied under `level`.
 
-    A zero rhs returns zeros and counts no run.
+    The run's stop reason is counted in counters["stop_reasons"][level].  An
+    rhs whose square rhs . rhs is 0 (zero, or underflowing, so that Lanczos
+    could not normalize it) returns zeros and counts no run.
     """
-    if float(np.linalg.norm(rhs)) == 0.0:
+    if float(rhs @ rhs) == 0.0:
         return np.zeros(rhs.shape[0])
     y, ws = preconditioned_lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol)
     _tally(counters, level, ws.iterations, ws.status == "budget-exhausted")
+    if counters is not None:
+        stops = counters.setdefault("stop_reasons", {}).setdefault(level, {})
+        stops[ws.stop_reason] = stops.get(ws.stop_reason, 0) + 1
     return y
 
 
@@ -215,11 +243,13 @@ def solve_m2(
     """Apply M2^{-1} = (W_j^2 + lt*W_j)^{-1} = (W_j^{-1} - (W_j+lt*I)^{-1})/lt.
 
     Each of the two resolvents is a level-3 Lanczos solve preconditioned by
-    the corresponding prefactored sketch Gram factor.
+    the inverse of the matching sketch Gram, m3a_inv or m3b_inv: one GEMV
+    per step.
     """
     r = as_vector(r, state.s)
     lt = state.lambda_tilde
     w_j = state.w_jittered()
+    m3a_inv, m3b_inv = state.m3a_inv, state.m3b_inv
     t3, eps2 = budgets["t3"], budgets["eps2"]
 
     def w_op(y):
@@ -228,8 +258,14 @@ def solve_m2(
     def w_shift_op(y):
         return w_j @ y + lt * y
 
-    u = inner_lanczos(w_op, r, cho_apply(state.m3a_factor), t3, eps2, counters, "level3a")
-    v = inner_lanczos(w_shift_op, r, cho_apply(state.m3b_factor), t3, eps2, counters, "level3b")
+    def m3a(y):
+        return m3a_inv @ y
+
+    def m3b(y):
+        return m3b_inv @ y
+
+    u = inner_lanczos(w_op, r, m3a, t3, eps2, counters, "level3a")
+    v = inner_lanczos(w_shift_op, r, m3b, t3, eps2, counters, "level3b")
     return (u - v) / lt
 
 
@@ -301,7 +337,11 @@ def solve_normal(
 
     def path_diagnostics(state):
         exhausted = counters.get("level2_exhausted", 0)
-        return {"inner_budget_exhausted": exhausted} if exhausted else {}
+        stops = counters.get("stop_reasons", {})
+        out = {"inner_stop_reasons": {level: stops[level] for level in sorted(stops)}}
+        if exhausted:
+            out["inner_budget_exhausted"] = exhausted
+        return out
 
     return solve_level1(
         "msp-general", gram_op, c, cfg, state, lambda: build_general(a, cfg),

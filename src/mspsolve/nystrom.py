@@ -147,8 +147,10 @@ def cho_apply(factor: tuple) -> Callable[[np.ndarray], np.ndarray]:
     Binds LAPACK potrs once for the factor and keeps cho_solve's checks (a
     square factor, an rhs of matching length, ValueError on info != 0).  x
     is byte-identical to cho_solve(factor, rhs, check_finite=False), without
-    that wrapper's per-call lookups: about a quarter of its time at s ~ 180,
-    where the level-3 loops make tens of thousands of calls per solve.
+    that wrapper's per-call lookups (about a quarter of its time at s ~ 180).
+    PSD level 2 and the least-squares solver apply a factor once per Lanczos
+    step through it; the general path's level 3 applies explicit inverses
+    instead (general.build_general).
     """
     c, lower = factor
     if c.ndim != 2 or c.shape[0] != c.shape[1]:

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import mspsolve.general
 import mspsolve.psd
 from mspsolve.bench import run_compare
-from mspsolve.config import WARMUP_ITERS
+from mspsolve.config import JITTER_INITIAL, WARMUP_ITERS
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.general import (
@@ -329,6 +330,79 @@ def test_level3_factor_matches_dense_inverse():
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def test_level3_inverses_match_dense_inverse():
+    a = svd_matrix(300, 200, flat_tail_sigmas(200, 8, 100.0, seed=37), seed=38)
+    state = build_general(a, GeneralSolveConfig(l=12, lam=0.1, seed=39))
+    a_hat = state.a_hat.to_dense()
+    gram = a_hat.T @ a_hat
+    gram = 0.5 * (gram + gram.T)
+    eye = np.eye(state.s)
+    for got, shift in ((state.m3a_inv, state.jitter),
+                       (state.m3b_inv, state.jitter + state.lambda_tilde)):
+        want = np.linalg.inv(gram + shift * eye)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(got, got.T)
+
+
+def _climb_level3_ladder(monkeypatch, rungs):
+    """Make build_general's level-3 factorization fail on its first `rungs` rungs."""
+    real = mspsolve.general.jittered_cholesky
+
+    def climbing(w, what, then=None):
+        if then is None:  # the probe Gram's ladder
+            return real(w, what)
+        seen = []
+
+        def failing_then(w_j, jitter, factor):
+            seen.append(jitter)
+            if len(seen) <= rungs:
+                raise scipy.linalg.LinAlgError("not positive definite")
+            return then(w_j, jitter, factor)
+
+        return real(w, what, then=failing_then)
+
+    monkeypatch.setattr(mspsolve.general, "jittered_cholesky", climbing)
+
+
+@pytest.mark.parametrize("rungs", [0, 2])
+def test_rank_deficient_matrix_solves_to_eps(monkeypatch, rungs):
+    # rank(A) = 20 < s = 128, so W and the level-3 Grams are singular up to
+    # their jitter, and the level-3 inverses have condition ~1e13 at the
+    # first rung.  With rungs = 2 the level-3 factors fail on the first two
+    # rungs (as they can in floating point), so the jitter and the inverses
+    # come from the third.
+    _climb_level3_ladder(monkeypatch, rungs)
+    m, n, rank, eps = 300, 200, 20, 1e-8
+    a = svd_matrix(m, n, flat_tail_sigmas(rank, 4, 10.0, seed=50), seed=51)
+    cfg = GeneralSolveConfig(l=12, lam=0.0, eps=eps, seed=52)
+    state = build_general(a, cfg)
+    assert rank < state.s
+    first_rung = JITTER_INITIAL * np.trace(state.W.to_dense()) / state.s
+    assert state.jitter == pytest.approx(10.0**rungs * first_rung, rel=1e-9)
+    for inv, (low, _) in ((state.m3a_inv, state.m3a_factor),
+                          (state.m3b_inv, state.m3b_factor)):
+        low = np.tril(low)
+        want = np.linalg.inv(low @ low.T)
+        assert np.array_equal(inv, inv.T)
+        assert np.linalg.norm(inv - want) <= 1e-2 * np.linalg.norm(want)
+    b = np.random.default_rng(53).standard_normal(m)
+    rep = solve_normal(a, a.T @ b, cfg, state=state)
+    assert rep.converged
+    x_star = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.linalg.norm(a @ (rep.x - x_star)) <= eps * np.linalg.norm(a @ x_star)
+
+
+def test_inner_lanczos_returns_zeros_for_an_rhs_whose_square_underflows():
+    # 1e-170^2 underflows to 0, so Lanczos could not normalize this rhs; the
+    # zero test reads the squared norm, not whether any entry is nonzero.
+    counters = {}
+    rhs = np.full(8, 1e-170)
+    y = mspsolve.general.inner_lanczos(lambda v: v, rhs, lambda v: v, 10, 1e-8,
+                                       counters, "level3a")
+    assert np.array_equal(y, np.zeros(8))
+    assert counters == {}
+
+
 # -- gram-matrix entry point -----------------------------------------------------------
 
 
@@ -368,6 +442,14 @@ def test_report_counters_present():
     assert rep.converged
     for key in ("level1", "warmup", "level2_total", "level3a_total", "level3b_total"):
         assert key in rep.iterations
+    # every inner run is counted once, by the reason it stopped
+    stops = rep.diagnostics["inner_stop_reasons"]
+    assert sum(stops["level2"].values()) == rep.iterations["level2_runs"]
+    assert sum(stops["level3a"].values()) == sum(stops["level3b"].values()) > 0
+    assert set(stops["level2"]) <= {"residual-target", "accuracy-floor", "stagnation",
+                                    "t-max", "clean-break"}
+    exhausted = sum(stops["level2"].get(k, 0) for k in ("accuracy-floor", "stagnation", "t-max"))
+    assert rep.diagnostics.get("inner_budget_exhausted", 0) == exhausted
     assert rep.matvecs > 0
     d = rep.to_dict()
     assert d["schema"] == 1

@@ -11,6 +11,7 @@ from mspsolve.lanczos import (
     ritz_values,
     symmetric_lanczos_reference,
     tridiag_solve_e1,
+    vector_norm,
 )
 from mspsolve.nystrom import build_nystrom_psd, exact_minv_reference
 
@@ -373,6 +374,23 @@ def test_symmetric_reference_size_guard():
         symmetric_lanczos_reference(
             np.eye(501), np.ones(501), (identity_m, identity_m), 1
         )
+
+
+# -- vector norms ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 178, 3072])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_vector_norm_is_bit_identical_to_numpy(n, scale):
+    # Level 1 on the PSD path stays byte-identical only if every norm the
+    # loop takes is; a strided vector (a column of a C-ordered matrix) must
+    # be summed in np.linalg.norm's order too.
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        block = scale * rng.standard_normal((n, 3))
+        for v in (np.ascontiguousarray(block[:, 0]), block[:, 1], block[::-1, 2]):
+            assert vector_norm(v).hex() == float(np.linalg.norm(v)).hex()
+    assert vector_norm(np.zeros(n)) == 0.0
 
 
 # -- degenerate inputs and breakdown ------------------------------------------------
