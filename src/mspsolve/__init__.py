@@ -14,9 +14,7 @@ from .core import (
     SpectrumSummary,
     as_vector,
     dense_factor_solve,
-    effective_dimension,
     matvec,
-    norm_in,
     power_method_norm,
 )
 from .errors import (
@@ -43,13 +41,11 @@ from .nystrom import (
     apply_minv_via_formula,
     build_nystrom_psd,
     estimate_lambda0,
-    exact_minv_reference,
 )
 from .lanczos import (
     LanczosWorkspace,
     TridiagonalMatrix,
     preconditioned_lanczos,
-    symmetric_lanczos_reference,
     tridiag_solve_e1,
 )
 from .report import SolveReport
@@ -61,12 +57,10 @@ from .general import (
     solve_m1_general,
     solve_m2,
     solve_normal,
-    solve_normal_given_gram,
 )
 from .apps import (
     KernelSpec,
     RidgeBlackBox,
-    hutchinson_trace,
     kernel_matrix,
     ridge_blackbox_solve,
     solve_krr,
@@ -82,8 +76,6 @@ __all__ = [
     "SpectrumSummary",
     "as_vector",
     "matvec",
-    "norm_in",
-    "effective_dimension",
     "power_method_norm",
     "dense_factor_solve",
     "MspError",
@@ -105,11 +97,9 @@ __all__ = [
     "build_nystrom_psd",
     "estimate_lambda0",
     "apply_minv_via_formula",
-    "exact_minv_reference",
     "TridiagonalMatrix",
     "LanczosWorkspace",
     "preconditioned_lanczos",
-    "symmetric_lanczos_reference",
     "tridiag_solve_e1",
     "SolveReport",
     "PsdSolveConfig",
@@ -119,7 +109,6 @@ __all__ = [
     "GeneralSolveConfig",
     "build_general",
     "solve_normal",
-    "solve_normal_given_gram",
     "solve_m1_general",
     "solve_m2",
     "KernelSpec",
@@ -128,7 +117,6 @@ __all__ = [
     "solve_krr",
     "solve_least_squares",
     "ridge_blackbox_solve",
-    "hutchinson_trace",
     "InstanceSpec",
     "gen_instance",
     "BenchmarkReport",

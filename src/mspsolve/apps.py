@@ -1,7 +1,7 @@
 """Applications on top of the solvers: kernel ridge regression (preconditioned
 by the Nystrom build its effective dimension is read off), tall least squares
-by one Lanczos run preconditioned by the sketched Gram (Psi A)^T (Psi A), the
-ridge black-box contract, and a Hutchinson trace estimator.
+by one Lanczos run preconditioned by the sketched Gram (Psi A)^T (Psi A), and
+the ridge black-box contract.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.linalg
@@ -17,7 +17,7 @@ import scipy.spatial.distance
 
 from . import nystrom
 from .config import OSE_EPSILON
-from .core import MatrixHandle, as_vector, dense_factor, operator_of
+from .core import MatrixHandle, as_vector, dense_factor
 from .errors import DomainError
 from .general import GeneralMspState, GeneralSolveConfig, build_general, solve_normal
 from .lanczos import preconditioned_lanczos
@@ -67,29 +67,6 @@ def kernel_matrix(spec: KernelSpec) -> MatrixHandle:
     n = k.shape[0]
     k[np.diag_indices(n)] += 1e-10 * (np.trace(k) / n)
     return MatrixHandle(k, sym="spd")
-
-
-def hutchinson_trace(
-    op_apply, probes: int, seed: int, n: Optional[int] = None
-) -> Tuple[float, float]:
-    """Stochastic trace estimate: mean and standard error over Rademacher probes."""
-    if probes < 2:
-        raise DomainError(f"need at least 2 probes for a standard error, got {probes}")
-    if isinstance(op_apply, MatrixHandle):
-        n = op_apply.rows
-    elif isinstance(op_apply, np.ndarray):
-        n = op_apply.shape[0]
-    elif n is None:
-        raise DomainError("callable operator needs an explicit dimension n")
-    op = operator_of(op_apply)
-    rng = np.random.default_rng(seed)
-    vals = np.empty(probes)
-    for p in range(probes):
-        z = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        vals[p] = float(z @ op(z))
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(probes))
-    return est, stderr
 
 
 def _estimate_effective_dim(
@@ -218,8 +195,6 @@ def ridge_blackbox_solve(bb: RidgeBlackBox, y: np.ndarray, eps: float) -> np.nda
     delegating to the normal-equations solver at target eps satisfies it.
     """
     y = as_vector(y, bb.a.cols)
-    if float(np.linalg.norm(y)) == 0.0:
-        return np.zeros(bb.a.cols)
     cfg = GeneralSolveConfig(
         l=bb.l, lam=bb.lam, eps=eps, delta=bb.delta, seed=bb.seed
     )
@@ -259,8 +234,12 @@ def solve_least_squares(
         raise DomainError(f"eps must be in (0,1), got {eps}")
 
     config_echo = {"eps": eps, "delta": delta, "seed": seed}
-    g0 = a.rmatvec(b)
-    if float(np.linalg.norm(g0)) == 0.0:
+    # The run solves for 2^-e b, e the binary exponent of max|b|, and x is
+    # scaled back by 2^e: exact, and no square of a tiny or huge b under- or
+    # overflows (psd.two_phase_lanczos does the same).
+    e = math.frexp(float(np.max(np.abs(b))))[1]
+    g0 = a.rmatvec(np.ldexp(b, -e))
+    if not g0.any():
         # b is orthogonal to range(A): x = 0 is the minimizer.
         return SolveReport(
             x=np.zeros(n), status="converged", method="sketch-ls",
@@ -278,6 +257,8 @@ def solve_least_squares(
         lambda v: a.rmatvec(a.matvec(v)), g0, nystrom.cho_apply(factor),
         t_max=8 * int(math.ceil(math.log2(1.0 / eps))), residual_target=eps,
     )
+    x = np.ldexp(x, e)
+    ws.z_prime = math.ldexp(ws.z_prime, e)
     return SolveReport(
         x=x, status=ws.status, method="sketch-ls",
         iterations={"outer": ws.iterations},

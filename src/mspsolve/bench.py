@@ -70,7 +70,7 @@ def solve_plain_lanczos(
         return y + lam * x if lam else y
 
     config_echo = {"method": "plain-lanczos", "lam": lam, "eps": eps, "n": n}
-    if np.all(b == 0.0):
+    if not b.any():
         return SolveReport(
             x=np.zeros(n), status="converged", method="plain-lanczos",
             iterations={"level1": 0, "warmup": 0}, matvecs=0,

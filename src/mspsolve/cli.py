@@ -2,10 +2,9 @@
 
 Subcommands: gen (write instances to disk), solve (one matrix, one solver,
 JSON report), bench (timed single-solver run on a generated instance),
-compare (solver-vs-solver table), selftest (built-in invariant battery).
+and compare (solver-vs-solver table).
 
-Exit codes: 0 success, 1 usage or runtime error, 2 solver non-convergence
-(or selftest failure).
+Exit codes: 0 success, 1 usage or runtime error, 2 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -14,20 +13,16 @@ import argparse
 import contextlib
 import json
 import sys
-import tempfile
 from dataclasses import asdict
 from typing import List, Optional
 
 import numpy as np
 
-from .apps import hutchinson_trace
 from .bench import SOLVERS, run_compare, run_solver
-from .core import MatrixHandle, SpectrumSummary, effective_dimension
+from .core import MatrixHandle
 from .errors import MspError
-from .general import GeneralSolveConfig, solve_normal
 from .instances import InstanceSpec, gen_instance, hidden_rotation_solution
 from .io import read_matrix, read_vector, write_mtx, write_vector
-from .psd import PsdSolveConfig, solve_psd
 
 _GEN_KINDS = ("k-large-psd", "k-large-general", "hidden-rotation",
               "block-lowerbound", "rbf-kernel")
@@ -105,8 +100,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--solvers", default="plain-lanczos,msp-psd,dense-direct",
                    help=f"comma-separated subset of {','.join(SOLVERS)}")
     c.add_argument("--warmup-runs", type=int, default=1)
-
-    sub.add_parser("selftest", parents=[common], help="run the built-in invariant battery")
     return p
 
 
@@ -191,117 +184,6 @@ def _cmd_compare(args) -> int:
     return 0 if report.all_converged else 2
 
 
-def _selftest_checks():
-    """Yield (name, callable) pairs; a callable raises to fail."""
-
-    def matvec_oracle():
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((4, 5))
-        x = rng.standard_normal(5)
-        want = np.array([sum(a[i, k] * x[k] for k in range(5)) for i in range(4)])
-        got = MatrixHandle(a).matvec(x)
-        assert np.allclose(got, want, rtol=0, atol=1e-13), "matvec disagrees with triple loop"
-
-    def mspm_roundtrip():
-        from .io import read_mspm, write_mspm
-
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((7, 3))
-        with tempfile.NamedTemporaryFile(suffix=".mspm") as fh:
-            write_mspm(fh.name, a)
-            back = read_mspm(fh.name)
-        assert np.array_equal(back.to_dense(), a), "binary roundtrip not bitwise"
-
-    def sketch_columns():
-        from .sketch import make_sparse_embedding
-
-        emb = make_sparse_embedding(s=40, n=200, gamma=4, seed=3)
-        dense = emb.toarray()
-        norms = np.linalg.norm(dense, axis=0)
-        assert np.allclose(norms, 1.0, atol=1e-12), "sketch columns not unit norm"
-        assert np.all((dense != 0).sum(axis=0) == 4), "column nnz != gamma"
-
-    def nystrom_inverse():
-        import scipy.linalg
-
-        from .nystrom import build_nystrom_psd, exact_minv_reference
-
-        rng = np.random.default_rng(7)
-        q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
-        vals = np.concatenate([100 * np.ones(5), np.linspace(1, 2, 55)])
-        a = (q * vals) @ q.T
-        a = 0.5 * (a + a.T)
-        pre = build_nystrom_psd(a, l=12, lam=0.5, delta=0.01, seed=1)
-        r = rng.standard_normal(60)
-        # The formula must invert M = C W_j^{-1} C^T + lt*I exactly.
-        c = pre.C.to_dense()
-        m_dense = c @ scipy.linalg.solve(pre.w_jittered(), c.T, assume_a="pos")
-        m_dense += pre.lambda_tilde * np.eye(60)
-        got = exact_minv_reference(pre, r)
-        err = np.linalg.norm(m_dense @ got - r) / np.linalg.norm(r)
-        assert err < 1e-8, f"inversion identity off by {err:.2e}"
-
-    def tridiag_e1():
-        from .lanczos import TridiagonalMatrix, tridiag_solve_e1
-
-        tri = TridiagonalMatrix(np.array([2.0, 2.0]), np.array([1.0]))
-        got = tridiag_solve_e1(tri, 1.0)
-        assert np.allclose(got, [2 / 3, -1 / 3], atol=1e-14), "T^-1 e1 wrong"
-
-    def hidden_rotation():
-        spec = InstanceSpec("hidden-rotation", n=40, seed=2, i=3, j=17)
-        a, b, _ = gen_instance(spec)
-        cfg = GeneralSolveConfig(l=8, lam=0.0, eps=1e-8, seed=0)
-        rep = solve_normal(a, a.rmatvec(b), cfg)
-        x_star = hidden_rotation_solution(40, 3, 17)
-        err = np.linalg.norm(rep.x - x_star) / np.linalg.norm(x_star)
-        assert rep.converged, f"status {rep.status}"
-        assert err < 1e-6, f"solution error {err:.2e}"
-
-    def psd_klarge():
-        spec = InstanceSpec("k-large-psd", n=192, k=8, ratio=1e4, seed=4)
-        a, b, _ = gen_instance(spec)
-        rep = solve_psd(a, b, PsdSolveConfig(l=24, lam=0.0, eps=1e-8, seed=0))
-        resid = np.linalg.norm(b - a.matvec(rep.x)) / np.linalg.norm(b)
-        assert rep.converged, f"status {rep.status}"
-        assert resid <= 1e-8, f"residual {resid:.2e}"
-
-    def eff_dim():
-        spec = SpectrumSummary(np.array([1.0, 0.1, 0.01]), "eigenvalues")
-        got = effective_dimension(spec, 0.1)
-        assert abs(got - 1.5) < 1e-12, f"effective dimension {got} != 1.5"
-
-    def trace_probe():
-        rng = np.random.default_rng(9)
-        d = rng.uniform(1, 2, size=50)
-        est, half_width = hutchinson_trace(lambda z: d * z, probes=30, seed=1, n=50)
-        assert abs(est - d.sum()) <= 6 * max(half_width, 1e-12), "trace estimate off"
-
-    yield "matvec-vs-triple-loop", matvec_oracle
-    yield "mspm-binary-roundtrip", mspm_roundtrip
-    yield "sketch-column-structure", sketch_columns
-    yield "nystrom-inversion-identity", nystrom_inverse
-    yield "tridiagonal-e1-solve", tridiag_e1
-    yield "hidden-rotation-recovery", hidden_rotation
-    yield "psd-outlier-solve", psd_klarge
-    yield "effective-dimension-value", eff_dim
-    yield "hutchinson-trace-bounds", trace_probe
-
-
-def _cmd_selftest(args) -> int:
-    failures = 0
-    for name, check in _selftest_checks():
-        try:
-            check()
-        except Exception as exc:  # report every failure, keep going
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
-            print(f"PASS {name}")
-    print(f"selftest: {'ok' if failures == 0 else f'{failures} failure(s)'}")
-    return 0 if failures == 0 else 2
-
-
 def cli_main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -322,7 +204,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
             else:
                 stack.enter_context(threadpool_limits(limits=args.threads))
         handler = {"gen": _cmd_gen, "solve": _cmd_solve, "bench": _cmd_bench,
-                   "compare": _cmd_compare, "selftest": _cmd_selftest}[args.command]
+                   "compare": _cmd_compare}[args.command]
         try:
             return handler(args)
         except (MspError, OSError, ValueError) as exc:

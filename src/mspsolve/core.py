@@ -1,10 +1,9 @@
-"""Matrix/vector substrate: dense and CSR matrices, norms, spectral utilities.
+"""Matrix/vector substrate: dense and CSR matrices, spectra, direct factors.
 
 Everything downstream (sketching, preconditioners, solvers) talks to matrices
 through the small contract defined here: `MatrixHandle` for storage with a
-uniform matvec, `as_vector` for boundary validation, plus the handful of
-spectral utilities (weighted norms, effective dimension, power-method norm
-estimates, cached direct factorization).
+uniform matvec, `as_vector` for boundary validation, plus a spectrum record,
+a power-method norm estimate and a cached direct factorization.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dsymv
 
-from .errors import DimensionMismatch, DomainError, NotPsdError, SingularMatrixError
+from .errors import DimensionMismatch, DomainError, SingularMatrixError
 
 Array = np.ndarray
 Operator = Callable[[Array], Array]
@@ -232,40 +231,6 @@ def matvec(a: Union[MatrixHandle, Array], x) -> Array:
     a = np.asarray(a, dtype=np.float64)
     x = as_vector(x, a.shape[1])
     return a @ x
-
-
-def norm_in(b_apply: Operator, x) -> float:
-    """Weighted norm sqrt(x^T B x) for a PSD operator given by its action.
-
-    Tiny negative inner products (floating-point noise) are clamped to zero;
-    anything below -1e-12 * ||x|| * ||Bx|| raises NotPsdError.
-    """
-    x = as_vector(x)
-    bx = as_vector(b_apply(x), x.shape[0])
-    ip = float(x @ bx)
-    if ip >= 0.0:
-        return math.sqrt(ip)
-    threshold = 1e-12 * float(np.linalg.norm(x)) * float(np.linalg.norm(bx))
-    if ip >= -threshold:
-        return 0.0
-    raise NotPsdError(
-        f"operator not PSD at this vector: x^T B x = {ip:.6e} "
-        f"(clamp threshold {-threshold:.6e})"
-    )
-
-
-def effective_dimension(spectrum: SpectrumSummary, lam: float) -> float:
-    """Sum of lambda_i / (lambda_i + lam) over the eigenvalue spectrum.
-
-    This is the trace of A(A + lam*I)^{-1}: the intrinsic rank of A at
-    regularization scale lam.
-    """
-    if lam <= 0.0 or not math.isfinite(lam):
-        raise DomainError(f"regularization must be positive, got {lam}")
-    if spectrum.kind != "eigenvalues":
-        raise DomainError("effective dimension needs an eigenvalue spectrum")
-    vals = spectrum.values
-    return float(np.sum(vals / (vals + lam)))
 
 
 def power_method_norm(a_apply: Operator, n: int, iters: int = 30, seed: int = 0) -> float:

@@ -45,7 +45,7 @@ from .errors import DomainError
 from .lanczos import preconditioned_lanczos
 from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
                       jittered_cholesky, lambda0_from_probes, nystrom_core)
-from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1, solve_psd
+from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1
 from .report import SolveReport
 from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
 
@@ -347,18 +347,3 @@ def solve_normal(
         "msp-general", gram_op, c, cfg, state, lambda: build_general(a, cfg),
         level2_for, counters, path_diagnostics, products=2, trace=trace,
     )
-
-
-def solve_normal_given_gram(
-    g,
-    c: np.ndarray,
-    cfg: GeneralSolveConfig,
-) -> SolveReport:
-    """Variant for callers holding A^T A itself: routes to the PSD solver.
-
-    The Gram matrix is symmetric PSD, so the two-level path applies verbatim
-    and achieves the same guarantee without access to A.
-    """
-    report = solve_psd(g, c, cfg)
-    report.method = "msp-general-gram"
-    return report

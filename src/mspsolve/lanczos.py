@@ -1,11 +1,8 @@
-"""Left-preconditioned Lanczos with inexact M-solves, plus its symmetric twin.
+"""Left-preconditioned Lanczos with inexact M-solves.
 
-The production iteration (`preconditioned_lanczos`) runs the recurrence on the
-original system, applying the preconditioner only through a SolveM callable
-that may itself be an iterative (inexact) solver.  The mathematically
-equivalent two-sided form (`symmetric_lanczos_reference`) runs plain Lanczos
-on M^{-1/2} A M^{-1/2} with explicit dense roots; it exists purely as a test
-oracle and is size-guarded.
+The iteration (`preconditioned_lanczos`) runs the recurrence on the original
+system, applying the preconditioner only through a SolveM callable that may
+itself be an iterative (inexact) solver.
 
 Notation mirrors the recurrence: q_over are the M^{-1}-side basis vectors
 (written q-bar in comments), q_under the unpreconditioned companions; the
@@ -23,9 +20,7 @@ import scipy.linalg
 
 from .config import BREAKDOWN_RTOL, CHECK_EVERY, RITZ_INFLATION, WARMUP_ITERS
 from .core import as_vector, operator_of
-from .errors import BreakdownError, DomainError, SizeGuardError
-
-Operator = Callable[[np.ndarray], np.ndarray]
+from .errors import BreakdownError, DomainError
 
 
 @dataclass(eq=False)
@@ -362,57 +357,3 @@ def preconditioned_lanczos(
         checkpoints=checkpoints,
     )
     return x, ws
-
-
-def symmetric_lanczos_reference(
-    a_apply,
-    b: np.ndarray,
-    m_half_ops: Tuple[Operator, Operator],
-    t: int,
-) -> np.ndarray:
-    """Plain Lanczos on M^{-1/2} A M^{-1/2}, mapped back through M^{-1/2}.
-
-    m_half_ops = (apply_sqrt, apply_inv_sqrt) with dense explicit roots; only
-    the inverse root is consumed by the recurrence.  Test oracle only:
-    guarded to n <= 500.
-    """
-    a_op = operator_of(a_apply)
-    b = as_vector(b)
-    n = b.shape[0]
-    if n > 500:
-        raise SizeGuardError(f"symmetric reference limited to n <= 500, got {n}")
-    if t < 1:
-        raise DomainError(f"need t >= 1, got {t}")
-    m_inv_half = m_half_ops[1] if isinstance(m_half_ops, (tuple, list)) else m_half_ops
-
-    def b_op(x):
-        return m_inv_half(a_op(m_inv_half(x)))
-
-    b_tilde = m_inv_half(b)
-    z = float(np.linalg.norm(b_tilde))
-    if z == 0.0:
-        raise DomainError("right-hand side is zero after preconditioning")
-    q = b_tilde / z
-    q_prev = np.zeros(n)
-    beta = 0.0
-    qs: List[np.ndarray] = []
-    alphas: List[float] = []
-    betas: List[float] = []
-    for i in range(t):
-        qs.append(q)
-        u = b_op(q) - beta * q_prev
-        alpha = float(u @ q)
-        alphas.append(alpha)
-        w = u - alpha * q
-        beta_next = float(np.linalg.norm(w))
-        if beta_next <= BREAKDOWN_RTOL * max(abs(alpha), 1.0):
-            break
-        betas.append(beta_next)
-        q_prev = q
-        q = w / beta_next
-        beta = beta_next
-
-    k = len(alphas)
-    tri = TridiagonalMatrix(np.array(alphas), np.array(betas[: k - 1]))
-    y = tridiag_solve_e1(tri, z)
-    return m_inv_half(np.column_stack(qs) @ y)

@@ -38,12 +38,7 @@ import scipy.linalg
 
 from .config import JITTER_INITIAL, JITTER_MAX, LAMBDA0_PROBES, sketch_nnz_per_column, sketch_rows
 from .core import MatrixHandle, as_vector
-from .errors import (
-    DomainError,
-    InconsistentEstimate,
-    SizeGuardError,
-    SketchRankCollapse,
-)
+from .errors import DomainError, InconsistentEstimate, SketchRankCollapse
 # make_ose is unused here, but tracers rebind it by this name.
 from .sketch import make_ose  # noqa: F401
 from .sketch import make_sparse_embedding, sketch_apply_left, sketch_apply_right
@@ -93,7 +88,6 @@ class NystromPreconditioner:
     # a solve that builds counts in its matvecs
     build_matvecs: int = 0
     _w_j: Optional[np.ndarray] = field(default=None, repr=False)
-    _exact_factor: Optional[tuple] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -418,21 +412,4 @@ def apply_minv_via_formula(
     c = pre.C.to_dense()
     rhs = c.T @ r
     y = inner_solve(rhs, eps1)
-    return (r - c @ y) / pre.lambda_tilde
-
-
-def exact_minv_reference(pre: NystromPreconditioner, r: np.ndarray) -> np.ndarray:
-    """M^{-1} r with a dense direct solve of the inner system (test oracle).
-
-    Guard: s <= 2000 so the dense Gram factorization stays cheap.
-    """
-    if pre.s > 2000:
-        raise SizeGuardError(f"exact reference limited to s <= 2000, got s={pre.s}")
-    r = as_vector(r, pre.n)
-    if pre._exact_factor is None:
-        c = pre.C.to_dense()
-        g = c.T @ c + pre.lambda_tilde * pre.w_jittered()
-        pre._exact_factor = scipy.linalg.cho_factor(g, lower=True, check_finite=False)
-    c = pre.C.to_dense()
-    y = scipy.linalg.cho_solve(pre._exact_factor, c.T @ r, check_finite=False)
     return (r - c @ y) / pre.lambda_tilde

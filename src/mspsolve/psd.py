@@ -117,6 +117,11 @@ def two_phase_lanczos(
     kappa (inflated Ritz ratio, kappa0 if none), which sizes t_max, the cap
     on its total steps, within [WARMUP_ITERS, 2n].
 
+    The run solves for 2^-e b, e the binary exponent of max|b|, and scales
+    x (and the workspace's z') back by 2^e.  Both scalings are exact, every
+    step is the same up to those powers of two, and b . b can neither
+    underflow nor overflow at any scale of b.  b must be nonzero.
+
     Returns (x, workspace, kappa, diagnostics of the budget).  kappa is the
     value t_max was sized with, or the raw Ritz estimate of the final T
     (possibly None) when the run ended before the Ritz read.
@@ -130,10 +135,13 @@ def two_phase_lanczos(
         read.update(kappa=kappa, diag={"t_max": t_max})
         return t_max
 
+    e = math.frexp(float(np.max(np.abs(b))))[1]
     x, ws = preconditioned_lanczos(
-        b_op, b, solve_m, t_max=WARMUP_ITERS, error_target=eps, trace=trace,
+        b_op, np.ldexp(b, -e), solve_m, t_max=WARMUP_ITERS, error_target=eps, trace=trace,
         retarget=(WARMUP_ITERS, retarget),
     )
+    x = np.ldexp(x, e)
+    ws.z_prime = math.ldexp(ws.z_prime, e)
     if not read:
         return x, ws, _ritz_kappa(ws.tridiag), {}
     return x, ws, read["kappa"], read["diag"]
@@ -183,7 +191,7 @@ def solve_level1(
             wall_ms=(time.perf_counter() - t_start) * 1e3, config_echo=vars(cfg).copy(), **fields,
         )
 
-    if float(np.linalg.norm(b)) == 0.0:
+    if not b.any():
         return report({"level1": 0, "warmup": 0}, x=np.zeros(n), status="converged", matvecs=0,
                       residual_history=[], kappa_m_estimate=None, stop_reason="zero-rhs")
 

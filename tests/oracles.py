@@ -6,8 +6,6 @@ agreement with the library is evidence rather than tautology.  This module
 does not import anything from mspsolve.
 """
 
-import math
-
 import numpy as np
 import scipy.linalg
 
@@ -24,17 +22,6 @@ def matvec_triple_loop(a, x):
             acc += a[i, j] * x[j]
         y[i] = acc
     return y
-
-
-def quadratic_norm_direct(b, x):
-    """sqrt(x^T B x) evaluated term by term."""
-    b = np.asarray(b, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    acc = 0.0
-    for i in range(len(x)):
-        for j in range(len(x)):
-            acc += x[i] * b[i, j] * x[j]
-    return math.sqrt(acc)
 
 
 def effective_dim_direct(eigenvalues, lam):
@@ -108,6 +95,57 @@ def dense_minv_apply(c, w_j, lt, r):
     c = np.asarray(c, dtype=np.float64)
     m = c @ np.linalg.solve(w_j, c.T) + lt * np.eye(c.shape[0])
     return np.linalg.solve(m, np.asarray(r, dtype=np.float64))
+
+
+def exact_minv_reference(pre, r):
+    """M^{-1} r for a built Nystrom preconditioner `pre`, inner system solved densely.
+
+    M^{-1} r = (r - C (C^T C + lt*W_j)^{-1} C^T r) / lt, with the s x s
+    system factored by Cholesky on every call.  Guarded to s <= 2000.
+    """
+    if pre.s > 2000:
+        raise ValueError(f"exact reference limited to s <= 2000, got s={pre.s}")
+    c = pre.C.to_dense()
+    g = c.T @ c + pre.lambda_tilde * pre.w_jittered()
+    r = np.asarray(r, dtype=np.float64)
+    y = scipy.linalg.cho_solve(scipy.linalg.cho_factor(g, lower=True), c.T @ r)
+    return (r - c @ y) / pre.lambda_tilde
+
+
+def symmetric_lanczos_reference(a, b, m_half_ops, t):
+    """Plain Lanczos on M^{-1/2} A M^{-1/2}, mapped back through M^{-1/2}.
+
+    The two-sided form that left-preconditioned Lanczos is equivalent to.
+    `a` is an array or a product callable; m_half_ops = (apply_sqrt,
+    apply_inv_sqrt) with dense explicit roots, of which only the inverse root
+    enters the recurrence.  Runs t steps, fewer if the Krylov space closes,
+    and solves T y = ||b~|| e_1 densely.  Guarded to n <= 500.
+    """
+    a_op = a if callable(a) else np.asarray(a, dtype=np.float64).__matmul__
+    b = np.asarray(b, dtype=np.float64)
+    n = b.shape[0]
+    if n > 500:
+        raise ValueError(f"symmetric reference limited to n <= 500, got {n}")
+    m_inv_half = m_half_ops[1]
+    b_tilde = m_inv_half(b)
+    z = float(np.linalg.norm(b_tilde))
+    q = b_tilde / z
+    q_prev = np.zeros(n)
+    beta = 0.0
+    qs, alphas, betas = [], [], []
+    for _ in range(t):
+        qs.append(q)
+        u = m_inv_half(a_op(m_inv_half(q))) - beta * q_prev
+        alpha = float(u @ q)
+        alphas.append(alpha)
+        w = u - alpha * q
+        beta_next = float(np.linalg.norm(w))
+        if beta_next <= 1e-14 * max(abs(alpha), 1.0):
+            break
+        betas.append(beta_next)
+        q_prev, q, beta = q, w / beta_next, beta_next
+    y = tridiag_e1_dense(alphas, betas[: len(alphas) - 1], z)
+    return m_inv_half(np.column_stack(qs) @ y)
 
 
 def nystrom_dense(c, w_j):

@@ -8,7 +8,6 @@ import mspsolve.psd
 from mspsolve.apps import (
     KernelSpec,
     RidgeBlackBox,
-    hutchinson_trace,
     kernel_matrix,
     ridge_blackbox_solve,
     solve_krr,
@@ -83,34 +82,6 @@ def test_polynomial_kernel_entries():
             want = (float(x[i] @ x[j]) + 1.0) ** 2
             tol = 1e-9 * abs(want) + (1e-9 if i == j else 1e-12)
             assert abs(k[i, j] - want) <= tol
-
-
-# -- hutchinson trace ---------------------------------------------------------------
-
-
-def test_trace_of_identity_is_exact():
-    est, stderr = hutchinson_trace(np.eye(30), probes=16, seed=0)
-    assert est == 30.0
-    assert stderr == 0.0
-
-
-def test_trace_estimate_within_three_stderr():
-    a = np.diag(np.arange(1.0, 11.0))
-    hits = 0
-    for seed in range(20):
-        est, stderr = hutchinson_trace(a, probes=1000, seed=seed)
-        if abs(est - 55.0) <= 3.0 * stderr:
-            hits += 1
-    assert hits >= 19
-
-
-def test_trace_validation():
-    with pytest.raises(DomainError):
-        hutchinson_trace(np.eye(4), probes=1, seed=0)
-    with pytest.raises(DomainError):
-        hutchinson_trace(lambda z: z, probes=4, seed=0)  # no dimension
-    est, _ = hutchinson_trace(lambda z: 2.0 * z, probes=4, seed=0, n=8)
-    assert est == 16.0
 
 
 # -- kernel ridge regression -----------------------------------------------------------

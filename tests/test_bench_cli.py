@@ -303,18 +303,10 @@ def test_cli_bench_subcommand(capsys):
 
 def test_cli_has_no_config_flag(capsys):
     # Solver constants live in mspsolve.config; no flag or file overrides them.
-    assert cli_main(["--config", "f", "selftest"]) == 1
+    assert cli_main(["--config", "f", "compare"]) == 1
     assert "invalid choice: 'f'" in capsys.readouterr().err
-    assert cli_main(["selftest", "--config", "f"]) == 1
+    assert cli_main(["compare", "--config", "f"]) == 1
     assert "unrecognized arguments: --config f" in capsys.readouterr().err
-
-
-def test_cli_selftest_passes(capsys):
-    assert cli_main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 9
-    assert "FAIL" not in out
-    assert "selftest: ok" in out
 
 
 def test_solver_registry_frozen():

@@ -10,14 +10,11 @@ from mspsolve import (
     DimensionMismatch,
     DomainError,
     MatrixHandle,
-    NotPsdError,
     SingularMatrixError,
     SpectrumSummary,
     as_vector,
     dense_factor_solve,
-    effective_dimension,
     matvec,
-    norm_in,
     power_method_norm,
 )
 
@@ -184,78 +181,7 @@ def test_as_vector_rejects_nonfinite():
         as_vector(np.ones((2, 2)))
 
 
-# -- norm_in ------------------------------------------------------------------
-
-
-def test_norm_in_euclidean():
-    assert norm_in(lambda x: x, [3.0, 4.0]) == pytest.approx(5.0, rel=1e-15)
-
-
-def test_norm_in_diagonal_quadratic_form():
-    b = np.diag([4.0, 9.0])
-    got = norm_in(lambda x: b @ x, [1.0, 1.0])
-    want = oracles.quadratic_norm_direct(b, [1.0, 1.0])
-    assert got == pytest.approx(want, rel=1e-15)
-    assert got == pytest.approx(np.sqrt(13.0), rel=1e-15)
-
-
-def test_norm_in_zero_operator():
-    assert norm_in(lambda x: np.zeros_like(x), [1.0, 2.0]) == 0.0
-
-
-def test_norm_in_clamps_tiny_negative():
-    # x^T B x = -1e-13 while ||x||*||Bx|| ~ 2: inside the clamp window.
-    bx = np.array([1.0, -1.0 - 1e-13])
-    assert norm_in(lambda x: bx, [1.0, 1.0]) == 0.0
-
-
-def test_norm_in_rejects_indefinite():
-    with pytest.raises(NotPsdError):
-        norm_in(lambda x: -x, [1.0, 2.0])
-
-
 # -- effective dimension ------------------------------------------------------
-
-
-def test_effective_dimension_uniform():
-    s = SpectrumSummary(np.ones(4), "eigenvalues")
-    assert effective_dimension(s, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_effective_dimension_three_scales():
-    vals = np.array([1.0, 0.1, 0.01])
-    s = SpectrumSummary(vals, "eigenvalues")
-    got = effective_dimension(s, 0.1)
-    assert got == pytest.approx(oracles.effective_dim_direct(vals, 0.1), rel=1e-14)
-    assert got == pytest.approx(1.5, rel=1e-4)
-
-
-def test_effective_dimension_large_lambda():
-    s = SpectrumSummary(np.array([1.0]), "eigenvalues")
-    assert effective_dimension(s, 1e12) == pytest.approx(0.0, abs=1e-11)
-
-
-def test_effective_dimension_domain_errors():
-    s = SpectrumSummary(np.array([1.0]), "eigenvalues")
-    with pytest.raises(DomainError):
-        effective_dimension(s, 0.0)
-    sv = SpectrumSummary(np.array([1.0]), "singular-values")
-    with pytest.raises(DomainError):
-        effective_dimension(sv, 1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
-def test_effective_dimension_monotone_and_bounded(seed, n):
-    rng = np.random.default_rng(seed)
-    vals = np.sort(rng.uniform(0.0, 10.0, size=n))[::-1]
-    s = SpectrumSummary(vals, "eigenvalues")
-    lams = [0.01, 0.1, 1.0, 10.0]
-    dims = [effective_dimension(s, lam) for lam in lams]
-    assert all(a >= b - 1e-12 for a, b in zip(dims, dims[1:]))
-    for lam, d in zip(lams, dims):
-        assert d <= min(n, float(np.sum(vals)) / lam) + 1e-12
-        assert d >= 0.0
 
 
 def test_tail_indices_below_gamma_lambda():
@@ -263,9 +189,8 @@ def test_tail_indices_below_gamma_lambda():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         vals = np.sort(rng.exponential(2.0, size=80))[::-1]
-        s = SpectrumSummary(vals, "eigenvalues")
         for lam in (0.05, 0.5, 2.0):
-            d = effective_dimension(s, lam)
+            d = oracles.effective_dim_direct(vals, lam)
             for gamma in (0.5, 1.0, 2.0):
                 j0 = int(np.ceil((1.0 + 1.0 / gamma) * d))
                 assert all(

@@ -17,7 +17,6 @@ from mspsolve.general import (
     solve_m1_general,
     solve_m2,
     solve_normal,
-    solve_normal_given_gram,
 )
 from mspsolve.instances import InstanceSpec, gen_instance
 
@@ -401,24 +400,6 @@ def test_inner_lanczos_returns_zeros_for_an_rhs_whose_square_underflows():
                                        counters, "level3a")
     assert np.array_equal(y, np.zeros(8))
     assert counters == {}
-
-
-# -- gram-matrix entry point -----------------------------------------------------------
-
-
-def test_gram_entry_point_routes_to_psd_path():
-    n = 96
-    rng = np.random.default_rng(41)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    vals = np.concatenate([1e3 * rng.uniform(1, 2, 6), rng.uniform(1, 2, n - 6)])
-    g = (q * vals) @ q.T
-    g = 0.5 * (g + g.T)
-    c = rng.standard_normal(n)
-    rep = solve_normal_given_gram(g, c, GeneralSolveConfig(l=12, lam=0.2, eps=1e-8, seed=42))
-    assert rep.method == "msp-general-gram"
-    assert rep.converged
-    x_star = np.linalg.solve(g + 0.2 * np.eye(n), c)
-    assert np.linalg.norm(rep.x - x_star) <= 1e-6 * np.linalg.norm(x_star)
 
 
 # -- configuration ----------------------------------------------------------------------

@@ -3,17 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mspsolve.errors import BreakdownError, DomainError, SizeGuardError
+from mspsolve.errors import BreakdownError, DomainError
 from mspsolve.lanczos import (
     LanczosWorkspace,
     TridiagonalMatrix,
     preconditioned_lanczos,
     ritz_values,
-    symmetric_lanczos_reference,
     tridiag_solve_e1,
     vector_norm,
 )
-from mspsolve.nystrom import build_nystrom_psd, exact_minv_reference
+from mspsolve.nystrom import build_nystrom_psd
 
 import oracles
 
@@ -355,13 +354,13 @@ def test_agrees_with_symmetric_reference(n):
     x, ws = preconditioned_lanczos(
         a,
         b,
-        lambda r: exact_minv_reference(pre, r),
+        lambda r: oracles.exact_minv_reference(pre, r),
         t_max=200,
         residual_target=1e-10,
         check_every=1,
     )
     assert ws.status == "converged"
-    x_ref = symmetric_lanczos_reference(
+    x_ref = oracles.symmetric_lanczos_reference(
         a, b, (lambda v: root @ v, lambda v: inv_root @ v), ws.iterations
     )
     diff = x - x_ref
@@ -370,8 +369,8 @@ def test_agrees_with_symmetric_reference(n):
 
 
 def test_symmetric_reference_size_guard():
-    with pytest.raises(SizeGuardError):
-        symmetric_lanczos_reference(
+    with pytest.raises(ValueError):
+        oracles.symmetric_lanczos_reference(
             np.eye(501), np.ones(501), (identity_m, identity_m), 1
         )
 

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 import mspsolve.core
 import mspsolve.general
 import mspsolve.psd
+from mspsolve.apps import solve_least_squares
+from mspsolve.bench import solve_plain_lanczos
 from mspsolve.config import LAMBDA0_PROBES, OSE_EPSILON, WARMUP_ITERS, ose_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
@@ -429,3 +431,55 @@ def test_trace_callback_sees_main_run():
     )
     assert len(calls) >= 1
     assert all({"i", "alpha", "beta", "resid"} == set(c) for c in calls)
+
+
+# -- right-hand sides of extreme scale -------------------------------------------------
+
+
+EPS_EXTREME = 1e-8
+
+
+def _extreme_scale_case(name):
+    """(solve(b), dense system matrix B, b -> c with B x = c, len(b)) for one solver.
+
+    The PSD solvers run on a 64x64 SPD A, the others on a 128x64 A; every
+    eigenvalue of A, and every singular value of the tall A, lies in [1, 2].
+    """
+    rng = np.random.default_rng(64)
+    q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+    spd = (q * rng.uniform(1, 2, 64)) @ q.T
+    spd = 0.5 * (spd + spd.T)
+    u, _ = np.linalg.qr(rng.standard_normal((128, 64)))
+    tall = (u * rng.uniform(1, 2, 64)) @ q.T
+    eps = EPS_EXTREME
+    return {
+        "psd": (lambda b: solve_psd(spd, b, PsdSolveConfig(l=8, eps=eps)), spd, lambda b: b, 64),
+        "normal": (lambda b: solve_normal(tall, b, GeneralSolveConfig(l=8, eps=eps)),
+                   tall.T @ tall, lambda b: b, 64),
+        "least-squares": (lambda b: solve_least_squares(tall, b, eps=eps), tall.T @ tall,
+                          lambda b: tall.T @ b, 128),
+        "plain-lanczos": (lambda b: solve_plain_lanczos(spd, b, eps=eps), spd, lambda b: b, 64),
+    }[name]
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e155, 1e170])
+@pytest.mark.parametrize("name", ["psd", "normal", "least-squares", "plain-lanczos"])
+def test_rhs_of_extreme_scale_converges_and_scales_exactly(name, scale):
+    # b . b underflows to 0 at 1e-170 and overflows at 1e155; the solvers run
+    # on b scaled by a power of two, so neither matters.
+    solve, system, rhs_of, m = _extreme_scale_case(name)
+    unit = np.random.default_rng(3).standard_normal(m)
+    rep = solve(scale * unit)
+    assert rep.status == "converged"
+    # The dense reference solves the unit-scale system, and x / scale is
+    # compared to it in the energy norm of B, whose square overflows at scale.
+    x_star = np.linalg.solve(system, rhs_of(unit))
+    x_unit = rep.x / scale
+    d = x_unit - x_star
+    assert np.sqrt(d @ system @ d) <= EPS_EXTREME * np.sqrt(x_star @ system @ x_star)
+    # The workspace is scaled back with x: it rebuilds the iterate it returned.
+    ws = rep.workspace
+    gap = ws.iterate(ws.iterations) / scale - x_unit
+    assert np.max(np.abs(gap)) <= 1e-10 * np.max(np.abs(x_unit))
+    # Scaling b by a power of two scales every step, so x, exactly.
+    assert np.array_equal(solve(np.ldexp(scale * unit, 100)).x, np.ldexp(rep.x, 100))
