@@ -23,9 +23,7 @@ from .errors import (
     DomainError,
     InconsistentEstimate,
     MspError,
-    NotPsdError,
     SingularMatrixError,
-    SizeGuardError,
     SketchRankCollapse,
 )
 from .sketch import (
@@ -82,9 +80,7 @@ __all__ = [
     "DimensionMismatch",
     "DomainError",
     "SingularMatrixError",
-    "NotPsdError",
     "SketchRankCollapse",
-    "SizeGuardError",
     "BreakdownError",
     "InconsistentEstimate",
     "SparseEmbedding",

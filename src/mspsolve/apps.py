@@ -115,7 +115,7 @@ def solve_krr(
     cannot pay (d_hat > n/4) or the build is unresolved.
 
     The read is kept on the handle K, one entry per handle: the build (C
-    and Y, 2*n*s doubles, about 6.7 MB at n = 1500, s = 281) or, on the
+    and Y, 2*n*s doubles, about 3.1 MB at n = 1500, s = 128) or, on the
     dense fallback, the n x n Cholesky factor of K + lam*I alone.  A later
     call on the same handle with the same (lam, delta, seed), at any eps,
     reuses it and says so in diagnostics["d_lambda_read"] ("reused", else

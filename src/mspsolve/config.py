@@ -13,7 +13,7 @@ import math
 # s = min(n, ceil(SKETCH_ROW_FACTOR * l * ln(max(l/delta, e)))).  There S
 # must stay a subspace embedding: acceptance criterion 06 (the whitened
 # pencil) passes 1/30 trials at 0.5 and 19/30 at 1.0.  The PSD path
-# sizes its own sketch (nystrom._PSD_ROW_FACTOR).
+# sizes its own sketch as a range finder (nystrom.psd_sketch_shape).
 SKETCH_ROW_FACTOR = 1.5
 # nonzeros per column: clamp(ceil(ln(max(l/delta, e))), GAMMA_MIN, GAMMA_MAX)
 GAMMA_MIN = 2

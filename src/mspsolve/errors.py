@@ -17,20 +17,12 @@ class SingularMatrixError(MspError, RuntimeError):
     """A direct factorization met a pivot below the singularity guard."""
 
 
-class NotPsdError(MspError, RuntimeError):
-    """A quadratic form came out negative beyond the clamping threshold."""
-
-
 class SketchRankCollapse(MspError, RuntimeError):
     """The sketched core matrix stayed unfactorable through jitter escalation.
 
     Re-seeding the sketch is the caller's remedy; the event has tiny
     probability under the default sizing.
     """
-
-
-class SizeGuardError(MspError, RuntimeError):
-    """A dense test-scale reference path was asked to exceed its size guard."""
 
 
 class BreakdownError(MspError, RuntimeError):

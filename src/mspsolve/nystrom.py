@@ -36,7 +36,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .config import JITTER_INITIAL, JITTER_MAX, LAMBDA0_PROBES, sketch_nnz_per_column, sketch_rows
+from .config import JITTER_INITIAL, JITTER_MAX, LAMBDA0_PROBES
 from .core import MatrixHandle, as_vector
 from .errors import DomainError, InconsistentEstimate, SketchRankCollapse
 # make_ose is unused here, but tracers rebind it by this name.
@@ -50,12 +50,14 @@ _SEED_OSE = 1
 _SEED_PROBE = 2
 _SEED_EST = 5
 
-# Row factor of the PSD path's sparse embedding, a third of the general
-# path's config.SKETCH_ROW_FACTOR.  There S must stay a subspace embedding;
-# here it only feeds a Nystrom approximation whose level-2 system the build
-# factors exactly.  s = 281 (~4.4*l) at l = 64, delta = 0.01, where the
-# general factor gives 842.
-_PSD_ROW_FACTOR = 0.5
+# Shape of the PSD path's sparse embedding: s = min(n, _PSD_OVERSAMPLE*l)
+# rows, min(s, _PSD_NNZ) nonzeros per column.  Level 2 factors G exactly, so
+# S only has to find A's top range, as a randomized range finder does
+# (Halko, Martinsson & Tropp 2011); a poorer sketch costs level-1 steps, not
+# accuracy.  The general path's S must stay a subspace embedding and keeps
+# config.sketch_rows.
+_PSD_OVERSAMPLE = 2
+_PSD_NNZ = 4
 
 
 @dataclass(eq=False)
@@ -279,8 +281,8 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int):
     """l-row sketch pieces (C_l, chol factor of jittered W_l) for lambda0.
 
     The tail sum being estimated is sum_{i>l}, so the probe sketch must have
-    exactly l rows: the main embedding's s = O(l log l) rows can reach s >= n
-    on small problems, where its Nystrom approximation is exact and the
+    exactly l rows: the main embedding's s = 2l rows can reach s = n on
+    small problems, where its Nystrom approximation is exact and the
     estimate collapses to the floor even though the rank-l tail is large.
     """
     emb = make_sparse_embedding(l, n, min(gamma, l), seed + _SEED_EST)
@@ -294,20 +296,28 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int):
     return c_l_handle.to_dense(), chol
 
 
+def psd_sketch_shape(l: int, n: int) -> tuple:
+    """(s, gamma): rows and nonzeros per column of the PSD sketch for rank l.
+
+    s = min(n, _PSD_OVERSAMPLE*l) and gamma = min(s, _PSD_NNZ).
+    """
+    s = min(n, _PSD_OVERSAMPLE * l)
+    return s, min(s, _PSD_NNZ)
+
+
 def psd_sketch(a, l: int, delta: float, seed: int, n: int):
     """(C = A S^T, W = S C symmetrized, gamma) for PSD A (n x n).
 
-    S is the sparse embedding with s = min(n, ceil(0.5*l*ln(max(l/delta, e))))
-    rows (_PSD_ROW_FACTOR) and gamma nonzeros per column, drawn from `seed`.
-    A handle is read once; an operator-only A is applied once per column of
-    S^T.  Raises DomainError unless delta is in (0, 1/2) and log n < l < n.
+    S is the sparse embedding of psd_sketch_shape(l, n), drawn from `seed`;
+    delta does not size it.  A handle is read once; an operator-only A is
+    applied once per column of S^T.  Raises DomainError unless delta is in
+    (0, 1/2) and log n < l < n.
     """
     if not (0.0 < delta < 0.5):
         raise DomainError(f"delta must be in (0, 1/2), got {delta}")
     if not (math.log(n) < l < n):
         raise DomainError(f"rank parameter must satisfy log n < l < n, got l={l}, n={n}")
-    s = sketch_rows(l, n, delta, _PSD_ROW_FACTOR)
-    gamma = min(sketch_nnz_per_column(l, delta), s)
+    s, gamma = psd_sketch_shape(l, n)
     emb = make_sparse_embedding(s, n, gamma, seed)
     if isinstance(a, MatrixHandle):
         c_handle = sketch_apply_right(a, emb)

@@ -194,7 +194,7 @@ def test_krr_runs_one_psd_solve(monkeypatch):
 
 def test_krr_unresolved_sketch_retries_then_falls_back():
     # K is close to the identity, so every Nystrom eigenvalue stays far above
-    # lam: the l_boot = 64 sketch (s = 281 < n) cannot resolve d_lambda and
+    # lam: the l_boot = 64 sketch (s = 128 < n) cannot resolve d_lambda and
     # the read doubles l_boot until s = n, where d_hat ~ n.
     n = 400
     rng = np.random.default_rng(12)

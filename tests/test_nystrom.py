@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mspsolve.config import (GAMMA_MAX, JITTER_INITIAL, LAMBDA0_PROBES, sketch_nnz_per_column,
-                             sketch_rows)
+from mspsolve.config import (GAMMA_MAX, JITTER_INITIAL, LAMBDA0_PROBES, SKETCH_ROW_FACTOR,
+                             sketch_nnz_per_column, sketch_rows)
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError, InconsistentEstimate, SketchRankCollapse
 from mspsolve.general import GeneralSolveConfig, build_general
@@ -17,12 +17,12 @@ from mspsolve.nystrom import (
     NystromPreconditioner,
     apply_minv_via_formula,
     build_nystrom_psd,
-    _PSD_ROW_FACTOR,
     _SEED_EST,
     _SEED_PROBE,
     cho_apply,
     estimate_lambda0,
     jittered_cholesky,
+    psd_sketch_shape,
     tail_probe_factor,
 )
 from mspsolve.psd import clamp_rank
@@ -353,9 +353,19 @@ def test_build_rejects_delta_outside_open_half_interval(delta):
 def test_subnormal_delta_sizes_the_sketch_without_overflow():
     # l/delta overflows at delta = 5e-324; ln(l) - ln(delta) does not.
     assert sketch_nnz_per_column(64, 5e-324) == GAMMA_MAX
-    assert sketch_rows(64, 1000, 5e-324, _PSD_ROW_FACTOR) == 1000
+    assert sketch_rows(64, 1000, 5e-324, SKETCH_ROW_FACTOR) == 1000
+    # delta does not size the PSD sketch, so the build takes its usual shape.
     pre = build_nystrom_psd(random_psd(120, 3)[0], l=16, lam=0.1, delta=5e-324, seed=0)
-    assert pre.gamma == GAMMA_MAX
+    assert (pre.s, pre.gamma) == (32, 4)
+
+
+def test_delta_does_not_change_the_psd_build():
+    a = random_psd(150, 4)[0]
+    one = build_nystrom_psd(a, l=16, lam=0.1, delta=0.01, seed=5)
+    two = build_nystrom_psd(a, l=16, lam=0.1, delta=0.2, seed=5)
+    assert np.array_equal(one.C.to_dense(), two.C.to_dense())
+    assert np.array_equal(one.W.to_dense(), two.W.to_dense())
+    assert np.array_equal(one.mu, two.mu)
 
 
 def test_operator_input_needs_dimension():
@@ -439,22 +449,23 @@ def test_jitter_ladder_factors_w_once(monkeypatch):
 
 def test_psd_and_general_sketch_sizes():
     # The PSD sketch feeds a Nystrom approximation that level 2 inverts
-    # exactly, so it is sized at a third of the general path's factor; the
-    # general path's S must stay a subspace embedding.
+    # exactly, so it is a range finder of 2l rows and 4 nonzeros per column;
+    # the general path's S must stay a subspace embedding.
     pre = build_nystrom_psd(np.eye(1024), l=32, lam=1.0, delta=0.01, seed=0)
-    assert pre.s == 130  # ceil(0.5 * 32 * ln 3200); 388 at factor 1.5
+    assert (pre.s, pre.gamma) == (64, 4)
     a = np.random.default_rng(3).standard_normal((600, 512))
     cfg = GeneralSolveConfig(l=16, lam=1.0, eps=1e-6, delta=0.01, seed=0)
     assert build_general(a, cfg).s == 178  # ceil(1.5 * 16 * ln 1600)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(4, 10**7), frac=st.floats(0.0, 1.0),
-       delta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
-def test_psd_sketch_rows_lie_between_rank_and_dimension(n, frac, delta):
+@given(n=st.integers(4, 10**7), frac=st.floats(0.0, 1.0))
+def test_psd_sketch_rows_lie_between_rank_and_dimension(n, frac):
     lo, hi = clamp_rank(1, n)[0], clamp_rank(n, n)[0]
     l = lo + int(frac * (hi - lo))
-    assert l <= sketch_rows(l, n, delta, _PSD_ROW_FACTOR) <= n
+    s, gamma = psd_sketch_shape(l, n)
+    assert l <= s <= n
+    assert gamma <= s
 
 
 def test_exact_reference_size_guard():
