@@ -251,7 +251,7 @@ def solve_least_squares(
 
     psi = make_ose(m, n, delta, OSE_EPSILON, seed + 7)
     a_bar = psi.apply(a.raw())
-    factor, _, jitter, _ = nystrom.jittered_cholesky(a_bar.T @ a_bar, "sketched Gram")
+    factor, _, jitter = nystrom.jittered_cholesky(a_bar.T @ a_bar, "sketched Gram")
     del a_bar
     x, ws = preconditioned_lanczos(
         lambda v: a.rmatvec(a.matvec(v)), g0, nystrom.cho_apply(factor),

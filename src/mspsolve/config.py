@@ -19,7 +19,7 @@ SKETCH_ROW_FACTOR = 1.5
 GAMMA_MIN = 2
 GAMMA_MAX = 8
 # subspace-embedding sizing: phi = min(n, ceil(OSE_C_PHI * (d + ln(1/delta)) / eps^2));
-# sizes the general path's Phi and the least-squares row sketch
+# sizes only the least-squares row sketch (sketch.make_ose)
 OSE_C_PHI = 4.0
 OSE_EPSILON = 0.5
 # outer Lanczos budget multiplier: t_max = ceil(T_FACTOR * sqrt(k) * ln(k/eps))
@@ -45,13 +45,13 @@ EPS_FLOOR = 1e-14
 BREAKDOWN_RTOL = 1e-14
 
 
-def sketch_rows(l: int, n: int, delta: float, factor: float) -> int:
-    """Row count of the sparse embedding for rank parameter l.
+def sketch_rows(l: int, n: int, delta: float) -> int:
+    """Row count of the general path's sparse embedding for rank parameter l.
 
-    s = min(n, ceil(factor * l * ln(max(l/delta, e)))): the paper's
-    s = O(l log l) with the caller's constant.
+    s = min(n, ceil(SKETCH_ROW_FACTOR * l * ln(max(l/delta, e)))): the
+    paper's s = O(l log l).
     """
-    grown = factor * l * math.log(max(l / delta, math.e))
+    grown = SKETCH_ROW_FACTOR * l * math.log(max(l / delta, math.e))
     return n if grown >= n else int(math.ceil(grown))
 
 

@@ -3,7 +3,7 @@
 This is the PSD path (psd.py) applied to B = A^T A.  Its Nystrom
 preconditioner of B is defined by the blocks C = A^T A_tilde (n x s) and
 W = A_tilde^T A_tilde, with A_tilde = A S^T (m x s); GeneralMspState is that
-NystromPreconditioner plus A and level 3's Gram factors and inverses.
+NystromPreconditioner plus A and level 3's two inverses.
 ||A^T A|| is read off the same Nystrom eigenvalues, lambda0 comes from the
 same Hutchinson estimator, and level 1 is the same driver
 (psd.solve_level1), at two products with A per apply of B.  The build
@@ -15,10 +15,13 @@ differs from the PSD path, where it is one direct solve:
   level 2  Lanczos on C^T C + lt*W_j with C stored, preconditioned by
            M2 = W_j^2 + lt*W_j applied through SolveM2;
   level 3  SolveM2 = two Lanczos solves, W_j u = r and (W_j + lt*I) v = r,
-           each preconditioned by the inverse of a sketch Gram (A_hat^T A_hat
-           with the matching shifts), combined as z = (u - v)/lt.  The
-           build forms both inverses from their Cholesky factors, so a
-           level-3 step applies its preconditioner with one s x s GEMV.
+           each preconditioned by the exact inverse of its own matrix,
+           combined as z = (u - v)/lt.  The build inverts W_j from the
+           factor it already takes for the Nystrom core and W_j + lt*I from
+           one more Cholesky factor, so a level-3 step applies its
+           preconditioner with one s x s GEMV and a run stops within two.
+           The paper preconditions level 3 with a second, doubly sketched
+           Gram so that W is never factored; W is factored here anyway.
 
 The jitter chosen for W is used consistently in all of the above, so every
 inversion identity holds exactly for the operators actually applied.
@@ -36,18 +39,20 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .config import (EPS_FLOOR, INNER_BUDGET_FACTOR, LAMBDA0_PROBES, OSE_EPSILON,
-                     SKETCH_ROW_FACTOR, sketch_nnz_per_column, sketch_rows)
+from .config import (EPS_FLOOR, INNER_BUDGET_FACTOR, LAMBDA0_PROBES, sketch_nnz_per_column,
+                     sketch_rows)
 from .core import MatrixHandle, as_vector
 # power_method_norm is unused here, but tracers rebind it by this name.
 from .core import power_method_norm  # noqa: F401
 from .errors import DomainError
 from .lanczos import preconditioned_lanczos
-from .nystrom import (_SEED_EST, _SEED_OSE, NystromPreconditioner, apply_minv_via_formula,
+from .nystrom import (_SEED_EST, NystromPreconditioner, apply_minv_via_formula,
                       jittered_cholesky, lambda0_from_probes, nystrom_core)
 from .psd import PsdSolveConfig, _tally, clamp_rank, solve_level1
 from .report import SolveReport
-from .sketch import make_ose, make_sparse_embedding, sketch_apply_right
+# make_ose is unused here, but tracers rebind it by this name.
+from .sketch import make_ose  # noqa: F401
+from .sketch import make_sparse_embedding, sketch_apply_right
 
 
 class GeneralSolveConfig(PsdSolveConfig):
@@ -60,20 +65,13 @@ class GeneralMspState(NystromPreconditioner):
 
     C = A^T A_tilde and W = A_tilde^T A_tilde with A_tilde = A S^T.  `Y` and
     `inner` are None: level 2 is preconditioned by M2 = W_j^2 + lt*W_j
-    through level 3, whose preconditioners are the sketch Grams
-    A_hat^T A_hat + jitter*I and A_hat^T A_hat + (jitter + lt)*I, with
-    A_hat = Phi A_tilde and Phi the phi_rows-row subspace embedding.
-    m3a_factor and m3b_factor are their Cholesky factors; m3a_inv and
-    m3b_inv their exactly symmetric inverses, formed from the factors,
-    which level 3 applies.
+    through level 3, which solves W_j u = r and (W_j + lt*I) v = r.
+    m3a_inv = W_j^{-1} and m3b_inv = (W_j + lt*I)^{-1}, exactly symmetric
+    and formed from Cholesky factors, are their preconditioners.
     """
 
     a: MatrixHandle
-    phi_rows: int
     a_tilde: MatrixHandle
-    a_hat: MatrixHandle
-    m3a_factor: tuple
-    m3b_factor: tuple
     m3a_inv: np.ndarray
     m3b_inv: np.ndarray
 
@@ -97,14 +95,16 @@ def _cho_inverse(factor: tuple) -> np.ndarray:
 
 
 def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
-    """Sketch A, form C and W, estimate lambda0 and ||A^T A||, invert level 3's Grams.
+    """Sketch A, form C and W, estimate lambda0 and ||A^T A||, invert level 3's matrices.
 
     A_tilde = A S^T, C = A^T A_tilde and W = A_tilde^T A_tilde are block
     products made once here.  C costs 2*m*n*s flops; with it stored, a
-    level-2 step costs 2*n*s + s^2 flops and no product with A.  Level 3's
-    two sketch Grams are factored at W_j's jitter and inverted from their
-    factors (about s^3 flops each), so a level-3 step costs two s x s
-    GEMVs, one with W_j and one with the inverse.
+    level-2 step costs 2*n*s + s^2 flops and no product with A.  Level 3
+    preconditions W_j and W_j + lt*I with their own inverses: W_j's from the
+    factor the jitter ladder returns, W_j + lt*I's from one more Cholesky
+    factorization, which cannot fail once W_j has factored (about s^3 flops
+    each).  A level-3 step costs two s x s GEMVs, one with the matrix and
+    one with its inverse.
 
     lambda0 targets (2/l) * sum_{i>l} sigma_i^2(A) = (2/l) * tr(A^T A - Nys_l),
     probed through a dedicated l-row sketch A_l = A S_l^T with the PSD
@@ -121,10 +121,10 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     """
     if not isinstance(a, MatrixHandle):
         a = MatrixHandle(np.asarray(a, dtype=np.float64))
-    m, n = a.rows, a.cols
+    n = a.cols
     l_eff, _ = clamp_rank(cfg.l, n)
 
-    s = sketch_rows(l_eff, n, cfg.delta, SKETCH_ROW_FACTOR)
+    s = sketch_rows(l_eff, n, cfg.delta)
     gamma = min(sketch_nnz_per_column(l_eff, cfg.delta), s)
     emb = make_sparse_embedding(s, n, gamma, cfg.seed)
     a_tilde = sketch_apply_right(a, emb)  # m x s dense
@@ -135,11 +135,6 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     frob_sq = _frobenius_sq(a)
     if frob_sq == 0.0:
         raise DomainError("matrix is identically zero")
-
-    phi = make_ose(m, s, cfg.delta, OSE_EPSILON, cfg.seed + _SEED_OSE)
-    a_hat = phi.apply(at)
-    gram_hat = a_hat.T @ a_hat
-    gram_hat = 0.5 * (gram_hat + gram_hat.T)
 
     # Tail-energy probe from a separate l-row sketch.  The main embedding has
     # s = O(l log l) rows and can reach s >= n on small problems, where its
@@ -159,18 +154,13 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
                                   trace=frob_sq)
     lambda_tilde = cfg.lam + lambda0
 
-    def factor_m3(w_j, jitter, w_factor):
-        m3a = gram_hat.copy()
-        m3a[np.diag_indices_from(m3a)] += jitter
-        m3a_factor = scipy.linalg.cho_factor(m3a, lower=True, check_finite=False)
-        m3b = m3a.copy()
-        m3b[np.diag_indices_from(m3b)] += lambda_tilde
-        m3b_factor = scipy.linalg.cho_factor(m3b, lower=True, check_finite=False)
-        return m3a_factor, m3b_factor
-
-    w_factor, w_j, jitter, (m3a_factor, m3b_factor) = jittered_cholesky(
-        w, "sketched Gram", then=factor_m3
-    )
+    w_factor, w_j, jitter = jittered_cholesky(w, "sketched Gram")
+    w_shift = w_j.copy()
+    w_shift[np.diag_indices_from(w_shift)] += lambda_tilde
+    # W_j + lt*I is exactly symmetric, so its transpose is the Fortran-ordered
+    # array LAPACK factors in place.
+    w_shift_factor = scipy.linalg.cho_factor(w_shift.T, lower=True, overwrite_a=True,
+                                             check_finite=False)
     state = GeneralMspState(
         C=MatrixHandle(c_block),
         W=MatrixHandle(w, sym="spd"),
@@ -186,13 +176,9 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
         build_passes=5,
         build_matvecs=LAMBDA0_PROBES,
         a=a,
-        phi_rows=phi.phi,
         a_tilde=a_tilde,
-        a_hat=MatrixHandle(np.asarray(a_hat)),
-        m3a_factor=m3a_factor,
-        m3b_factor=m3b_factor,
-        m3a_inv=_cho_inverse(m3a_factor),
-        m3b_inv=_cho_inverse(m3b_factor),
+        m3a_inv=_cho_inverse(w_factor),
+        m3b_inv=_cho_inverse(w_shift_factor),
     )
     state._w_j = w_j
     return state
@@ -243,8 +229,7 @@ def solve_m2(
     """Apply M2^{-1} = (W_j^2 + lt*W_j)^{-1} = (W_j^{-1} - (W_j+lt*I)^{-1})/lt.
 
     Each of the two resolvents is a level-3 Lanczos solve preconditioned by
-    the inverse of the matching sketch Gram, m3a_inv or m3b_inv: one GEMV
-    per step.
+    its own matrix's inverse, m3a_inv or m3b_inv: one GEMV per step.
     """
     r = as_vector(r, state.s)
     lt = state.lambda_tilde

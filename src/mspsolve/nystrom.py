@@ -44,9 +44,7 @@ from .sketch import make_ose  # noqa: F401
 from .sketch import make_sparse_embedding, sketch_apply_left, sketch_apply_right
 
 # Seed offsets: the sparse embedding draws from default_rng(seed), so sibling
-# randomness gets distinct additive offsets.  _SEED_OSE seeds the general
-# path's subspace embedding Phi.
-_SEED_OSE = 1
+# randomness gets distinct additive offsets.
 _SEED_PROBE = 2
 _SEED_EST = 5
 
@@ -165,17 +163,12 @@ def cho_apply(factor: tuple) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def jittered_cholesky(w: np.ndarray, what: str, then=None):
+def jittered_cholesky(w: np.ndarray, what: str):
     """Lower Cholesky factor of W + jitter*I at the first jitter that works.
 
     The jitter climbs from JITTER_INITIAL to JITTER_MAX times tr(W)/s, x10 per
-    rung.  `then(w_j, jitter, factor)` factors whatever must share the rung;
-    its LinAlgError also moves to the next rung.  Once W_j has factored and
-    only `then` failed, later rungs retry `then` alone: more diagonal jitter
-    keeps W_j positive definite, so W is factored once per ladder, and
-    `factor` is that first factor on every rung.  Returns (factor, w_j,
-    jitter, then's result).  Raises SketchRankCollapse naming `what` when no
-    rung works.
+    rung.  Returns (factor, w_j, jitter).  Raises SketchRankCollapse naming
+    `what` when no rung works.
     Only the message of a failed attempt is kept: holding the exception
     would keep its traceback's frames, and their arrays, alive in a
     reference cycle.
@@ -184,19 +177,16 @@ def jittered_cholesky(w: np.ndarray, what: str, then=None):
     trace_w = float(np.trace(w))
     rel = JITTER_INITIAL
     reason = ""
-    factor = None
     while rel <= JITTER_MAX * (1 + 1e-9):
         jitter = rel * trace_w / s
         w_j = w.copy()
         w_j[np.diag_indices_from(w_j)] += jitter
         try:
-            if factor is None:
-                factor = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
-            extra = None if then is None else then(w_j, jitter, factor)
+            factor = scipy.linalg.cho_factor(w_j, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             reason = str(exc)
         else:
-            return factor, w_j, jitter, extra
+            return factor, w_j, jitter
         rel *= 10.0
     raise SketchRankCollapse(
         f"{what} ({s}x{s}) failed Cholesky at every jitter level up to "
@@ -377,7 +367,7 @@ def build_nystrom_psd(
             raise DomainError(
                 "lambda + lambda0 must be positive; the operator appears to be zero"
             )
-    w_factor, w_j, jitter, _ = jittered_cholesky(w, "W")
+    w_factor, w_j, jitter = jittered_cholesky(w, "W")
     y, g, mu = nystrom_core(c_handle.to_dense(), w_factor)
     if matrix:  # mu[-l:] is all of mu when l exceeds its length
         lambda0 = (2.0 / l) * max(trace - float(np.sum(mu[-l:])), 1e-12 * trace)

@@ -312,65 +312,99 @@ def test_solve_m2_huge_shift_limit():
     assert np.linalg.norm(got - approx) <= 0.5 * np.linalg.norm(approx)
 
 
-def test_level3_factor_matches_dense_inverse():
-    import scipy.linalg
+def test_level3_factor_matches_dense_inverse(monkeypatch):
+    # m3a_inv is formed from the factor of W_j that the jitter ladder returns.
+    factors = {}
+    real = mspsolve.general.jittered_cholesky
 
+    def keep(w, what):
+        out = real(w, what)
+        factors[what] = out[0]
+        return out
+
+    monkeypatch.setattr(mspsolve.general, "jittered_cholesky", keep)
     m, n = 300, 200
     a = svd_matrix(m, n, flat_tail_sigmas(n, 8, 100.0, seed=37), seed=38)
     state = build_general(a, GeneralSolveConfig(l=12, lam=0.1, seed=39))
-    a_hat = state.a_hat.to_dense()
-    gram = a_hat.T @ a_hat
-    gram = 0.5 * (gram + gram.T)
-    gram[np.diag_indices_from(gram)] += state.jitter
+    w_factor = factors["sketched Gram"]
     rng = np.random.default_rng(40)
     r = rng.standard_normal(state.s)
-    got = scipy.linalg.cho_solve(state.m3a_factor, r)
-    want = np.linalg.solve(gram, r)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    want = np.linalg.solve(state.w_jittered(), r)
+    for got in (scipy.linalg.cho_solve(w_factor, r), state.m3a_inv @ r):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_level3_inverses_match_dense_inverse():
     a = svd_matrix(300, 200, flat_tail_sigmas(200, 8, 100.0, seed=37), seed=38)
     state = build_general(a, GeneralSolveConfig(l=12, lam=0.1, seed=39))
-    a_hat = state.a_hat.to_dense()
-    gram = a_hat.T @ a_hat
-    gram = 0.5 * (gram + gram.T)
+    w_j = state.w_jittered()
     eye = np.eye(state.s)
-    for got, shift in ((state.m3a_inv, state.jitter),
-                       (state.m3b_inv, state.jitter + state.lambda_tilde)):
-        want = np.linalg.inv(gram + shift * eye)
+    for got, shift in ((state.m3a_inv, 0.0), (state.m3b_inv, state.lambda_tilde)):
+        want = np.linalg.inv(w_j + shift * eye)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         assert np.array_equal(got, got.T)
 
 
-def _climb_level3_ladder(monkeypatch, rungs):
-    """Make build_general's level-3 factorization fail on its first `rungs` rungs."""
-    real = mspsolve.general.jittered_cholesky
+def test_level3_runs_close_within_two_steps():
+    # Preconditioned by their own matrices' inverses, W_j u = r and
+    # (W_j + lt*I) v = r are solved in the first step; the second is slack
+    # for rounding.  m = 2000 exceeds the row count a subspace embedding of
+    # the s = 81 columns would take, so a sketched level-3 preconditioner
+    # would differ from W_j here.
+    spec = InstanceSpec("k-large-general", n=128, m=2000, k=4, ratio=10.0, seed=7)
+    a, b, _ = gen_instance(spec)
+    rep = solve_normal(a, a.rmatvec(b), GeneralSolveConfig(l=8, lam=1.0, eps=1e-8, seed=2))
+    assert rep.converged
+    stops = rep.diagnostics["inner_stop_reasons"]
+    for level in ("level3a", "level3b"):
+        runs = stops[level].get("residual-target", 0)
+        assert runs > 0 and stops[level] == {"residual-target": runs}, level
+        assert rep.iterations[level + "_total"] <= 2 * runs, level
 
-    def climbing(w, what, then=None):
-        if then is None:  # the probe Gram's ladder
-            return real(w, what)
-        seen = []
 
-        def failing_then(w_j, jitter, factor):
-            seen.append(jitter)
-            if len(seen) <= rungs:
+def test_build_general_draws_no_subspace_embedding(monkeypatch):
+    def no_sketch(*args, **kwargs):
+        raise AssertionError("make_ose called by the general path")
+
+    monkeypatch.setattr(mspsolve.general, "make_ose", no_sketch)
+    a = svd_matrix(600, 64, flat_tail_sigmas(64, 4, 10.0, seed=54), seed=55)
+    cfg = GeneralSolveConfig(l=8, lam=0.1, seed=56)
+    rep = solve_normal(a, a.T @ np.random.default_rng(57).standard_normal(600), cfg)
+    assert rep.converged
+
+
+def _climb_w_ladder(monkeypatch, rungs):
+    """Make build_general's factorization of W fail on its first `rungs` rungs."""
+    real_ladder = mspsolve.general.jittered_cholesky
+    real_factor = scipy.linalg.cho_factor
+
+    def climbing(w, what):
+        if what != "sketched Gram":  # the probe Gram's ladder
+            return real_ladder(w, what)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) <= rungs:
                 raise scipy.linalg.LinAlgError("not positive definite")
-            return then(w_j, jitter, factor)
+            return real_factor(*args, **kwargs)
 
-        return real(w, what, then=failing_then)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+        try:
+            return real_ladder(w, what)
+        finally:
+            monkeypatch.setattr(scipy.linalg, "cho_factor", real_factor)
 
     monkeypatch.setattr(mspsolve.general, "jittered_cholesky", climbing)
 
 
 @pytest.mark.parametrize("rungs", [0, 2])
 def test_rank_deficient_matrix_solves_to_eps(monkeypatch, rungs):
-    # rank(A) = 20 < s = 128, so W and the level-3 Grams are singular up to
-    # their jitter, and the level-3 inverses have condition ~1e13 at the
-    # first rung.  With rungs = 2 the level-3 factors fail on the first two
-    # rungs (as they can in floating point), so the jitter and the inverses
-    # come from the third.
-    _climb_level3_ladder(monkeypatch, rungs)
+    # rank(A) = 20 < s = 128, so W is singular up to its jitter, and W_j^{-1}
+    # has condition ~1e13 at the first rung.  With rungs = 2 W's
+    # factorization fails on the first two rungs (as it can in floating
+    # point), so the jitter and the level-3 inverses come from the third.
+    _climb_w_ladder(monkeypatch, rungs)
     m, n, rank, eps = 300, 200, 20, 1e-8
     a = svd_matrix(m, n, flat_tail_sigmas(rank, 4, 10.0, seed=50), seed=51)
     cfg = GeneralSolveConfig(l=12, lam=0.0, eps=eps, seed=52)
@@ -378,10 +412,9 @@ def test_rank_deficient_matrix_solves_to_eps(monkeypatch, rungs):
     assert rank < state.s
     first_rung = JITTER_INITIAL * np.trace(state.W.to_dense()) / state.s
     assert state.jitter == pytest.approx(10.0**rungs * first_rung, rel=1e-9)
-    for inv, (low, _) in ((state.m3a_inv, state.m3a_factor),
-                          (state.m3b_inv, state.m3b_factor)):
-        low = np.tril(low)
-        want = np.linalg.inv(low @ low.T)
+    w_j = state.w_jittered()
+    for inv, shift in ((state.m3a_inv, 0.0), (state.m3b_inv, state.lambda_tilde)):
+        want = np.linalg.inv(w_j + shift * np.eye(state.s))
         assert np.array_equal(inv, inv.T)
         assert np.linalg.norm(inv - want) <= 1e-2 * np.linalg.norm(want)
     b = np.random.default_rng(53).standard_normal(m)

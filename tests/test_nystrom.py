@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mspsolve.config import (GAMMA_MAX, JITTER_INITIAL, LAMBDA0_PROBES, SKETCH_ROW_FACTOR,
-                             sketch_nnz_per_column, sketch_rows)
+from mspsolve.config import (GAMMA_MAX, JITTER_INITIAL, LAMBDA0_PROBES, sketch_nnz_per_column,
+                             sketch_rows)
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError, InconsistentEstimate, SketchRankCollapse
 from mspsolve.general import GeneralSolveConfig, build_general
@@ -353,7 +353,7 @@ def test_build_rejects_delta_outside_open_half_interval(delta):
 def test_subnormal_delta_sizes_the_sketch_without_overflow():
     # l/delta overflows at delta = 5e-324; ln(l) - ln(delta) does not.
     assert sketch_nnz_per_column(64, 5e-324) == GAMMA_MAX
-    assert sketch_rows(64, 1000, 5e-324, SKETCH_ROW_FACTOR) == 1000
+    assert sketch_rows(64, 1000, 5e-324) == 1000
     # delta does not size the PSD sketch, so the build takes its usual shape.
     pre = build_nystrom_psd(random_psd(120, 3)[0], l=16, lam=0.1, delta=5e-324, seed=0)
     assert (pre.s, pre.gamma) == (32, 4)
@@ -399,7 +399,7 @@ def test_failed_jitter_rungs_leave_no_exception_alive():
     gc.collect()
     gc.disable()
     try:
-        _, _, jitter, _ = jittered_cholesky(w, "W")
+        _, _, jitter = jittered_cholesky(w, "W")
         alive = [o for o in gc.get_objects() if isinstance(o, np.linalg.LinAlgError)]
     finally:
         gc.enable()
@@ -417,34 +417,6 @@ def test_psd_build_factors_g_as_formed():
     g[np.diag_indices_from(g)] += pre.lambda_tilde
     want = scipy.linalg.cho_factor(g.T, lower=True, check_finite=False)[0]
     assert pre.inner[0].tobytes() == want.tobytes()
-
-
-def test_jitter_ladder_factors_w_once(monkeypatch):
-    # `then` fails at the lower rungs here (as the general path's level-3
-    # factors can); W_j, positive definite from the first rung on, is
-    # factored there and never again, and every `then` call gets that factor.
-    k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=200, bandwidth=1.0, seed=1))
-    w = build_nystrom_psd(k, 60, 1e-2, 0.01, 0).W.to_dense()
-    factored, seen = [], []
-    original = scipy.linalg.cho_factor
-
-    def spy(a, *args, **kwargs):
-        factored.append(np.array(a, copy=True))
-        return original(a, *args, **kwargs)
-
-    def then(w_j, jitter, factor):
-        seen.append(factor)
-        if len(seen) < 3:
-            raise scipy.linalg.LinAlgError("not positive definite")
-        return "done"
-
-    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
-    factor, _, jitter, extra = jittered_cholesky(w, "W", then=then)
-    rungs = round(np.log10(jitter / (JITTER_INITIAL * np.trace(w) / w.shape[0]))) + 1
-    assert extra == "done"
-    assert rungs == len(seen) == 3
-    assert len(factored) == 1
-    assert all(f is factor for f in seen)
 
 
 def test_psd_and_general_sketch_sizes():
