@@ -117,21 +117,22 @@ def solve_krr(
     The read is kept on the handle K, one entry per handle: the build (C
     and Y, 2*n*s doubles, about 3.1 MB at n = 1500, s = 128) or, on the
     dense fallback, the n x n Cholesky factor of K + lam*I alone.  A later
-    call on the same handle with the same (lam, delta, seed), at any eps,
-    reuses it and says so in diagnostics["d_lambda_read"] ("reused", else
-    "built"); an ndarray K gets a new handle, so a new read, every call.
+    call on the same handle with the same (lam, seed), at any eps and
+    delta (which does not size the PSD sketch), reuses it and says so in
+    diagnostics["d_lambda_read"] ("reused", else "built"); an array K gets a
+    new handle, so a new read, every call.
     """
     t_start = time.perf_counter()
     if lam <= 0.0:
         raise DomainError(f"ridge parameter must be positive, got {lam}")
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must be in (0,1), got {eps}")
+    # Checks eps and delta before the read; l is the read's.
+    cfg = PsdSolveConfig(l=1, lam=lam, eps=eps, delta=delta, seed=seed)
     if not isinstance(k, MatrixHandle):
-        k = MatrixHandle(np.asarray(k, dtype=np.float64), sym="spd")
+        k = MatrixHandle(k, sym="spd")
     y = as_vector(y, k.rows)
     n = k.rows
 
-    key = (lam, delta, seed)
+    key = (lam, seed)  # delta does not size the PSD sketch
     read = "reused"
     if k._krr_memo is None or k._krr_memo[0] != key:
         k._krr_memo = None  # the old entry goes before the new read is made
@@ -159,7 +160,7 @@ def solve_krr(
             diagnostics=read_diag,
         )
 
-    cfg = PsdSolveConfig(l=held.l, lam=lam, eps=eps, delta=delta, seed=seed)
+    cfg.l = held.l
     report = solve_psd(k, y, cfg, pre=held)
     report.method = "krr"
     report.wall_ms = (time.perf_counter() - t_start) * 1e3
@@ -181,7 +182,7 @@ class RidgeBlackBox:
 
     def __post_init__(self):
         if not isinstance(self.a, MatrixHandle):
-            self.a = MatrixHandle(np.asarray(self.a, dtype=np.float64))
+            self.a = MatrixHandle(self.a)
         cfg = GeneralSolveConfig(
             l=self.l, lam=self.lam, eps=0.5, delta=self.delta, seed=self.seed
         )
@@ -225,7 +226,7 @@ def solve_least_squares(
     """
     t_start = time.perf_counter()
     if not isinstance(a, MatrixHandle):
-        a = MatrixHandle(np.asarray(a, dtype=np.float64))
+        a = MatrixHandle(a)
     m, n = a.rows, a.cols
     if m < n:
         raise DomainError(f"least squares path expects tall A, got {m}x{n}")

@@ -56,7 +56,7 @@ def solve_plain_lanczos(
     """
     t0 = time.perf_counter()
     if not isinstance(a, MatrixHandle):
-        a = MatrixHandle(np.asarray(a, dtype=float), sym="spd")
+        a = MatrixHandle(a, sym="spd")
     if a.rows != a.cols:
         raise DomainError(f"square system required, got {a.rows}x{a.cols}")
     if lam < 0.0:
@@ -149,6 +149,18 @@ def _dense_direct(a: MatrixHandle, b: np.ndarray, lam: float) -> SolveReport:
         config_echo={"method": "dense-direct", "lam": lam},
         stop_reason="direct",
     )
+
+
+def default_rank(n: int, spec: Optional[InstanceSpec] = None) -> int:
+    """Sketch rank of `compare` and `bench` without --l: max(ceil(log2 n) + 1, 8).
+
+    It is at least 2k on an instance with k outliers and at most max(n // 2, 2).
+    """
+    l = max(int(math.ceil(math.log2(max(n, 2)))) + 1, 8)
+    if spec is not None and spec.generator in ("k-large-psd", "k-large-general",
+                                               "block-lowerbound"):
+        l = max(l, 2 * spec.k)
+    return min(l, max(n // 2, 2))
 
 
 def run_solver(name: str, a: MatrixHandle, b: np.ndarray, *, lam: float, eps: float, l: int,
@@ -282,17 +294,12 @@ def run_compare(
         instance_echo = {k: v for k, v in asdict(instance).items() if v is not None}
     else:
         a, b = instance[0], instance[1]
-        a = a if isinstance(a, MatrixHandle) else MatrixHandle(np.asarray(a, dtype=float))
+        a = a if isinstance(a, MatrixHandle) else MatrixHandle(a)
         instance_echo = {"generator": "prebuilt", "n": a.cols, "m": a.rows}
     b = as_vector(b, a.rows)
 
-    n = a.cols
-    default_l = max(int(math.ceil(math.log2(max(n, 2)))) + 1, 8)
-    if isinstance(instance, InstanceSpec) and instance.generator in (
-        "k-large-psd", "k-large-general", "block-lowerbound"
-    ):
-        default_l = max(default_l, 2 * instance.k)
-    l = int(targets.get("l", min(default_l, max(n // 2, 2))))
+    spec = instance if isinstance(instance, InstanceSpec) else None
+    l = int(targets.get("l", default_rank(a.cols, spec)))
 
     report = BenchmarkReport(
         instance=instance_echo,

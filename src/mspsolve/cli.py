@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bench import SOLVERS, run_compare, run_solver
+from .bench import SOLVERS, default_rank, run_compare, run_solver
 from .core import MatrixHandle
 from .errors import MspError
 from .instances import InstanceSpec, gen_instance, hidden_rotation_solution
@@ -115,10 +115,10 @@ def _emit(report_json: str, json_out: Optional[str]) -> None:
             fh.write(report_json + "\n")
 
 
-def _run_method(method: str, a: MatrixHandle, b: np.ndarray, args):
+def _run_method(method: str, a: MatrixHandle, b: np.ndarray, args,
+                spec: Optional[InstanceSpec] = None):
     n = a.cols
-    l = args.l if args.l is not None else max(int(np.ceil(np.log2(max(n, 2)))) + 1, 8)
-    l = min(l, max(n // 2, 2))
+    l = min(args.l, max(n // 2, 2)) if args.l is not None else default_rank(n, spec)
     return run_solver(method, a, b, lam=args.lam, eps=args.eps, l=l, delta=args.delta,
                       seed=args.seed)
 
@@ -158,7 +158,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     spec = _instance_from_args(args)
     a, b, _ = gen_instance(spec)
-    rep = _run_method(args.method, a, b, args)
+    rep = _run_method(args.method, a, b, args, spec)
     payload = rep.to_dict(include_solution=False)
     payload["instance"] = {k: v for k, v in asdict(spec).items() if v is not None}
     _emit(json.dumps(payload, indent=2), args.json_out)

@@ -24,8 +24,6 @@ OSE_C_PHI = 4.0
 OSE_EPSILON = 0.5
 # outer Lanczos budget multiplier: t_max = ceil(T_FACTOR * sqrt(k) * ln(k/eps))
 T_FACTOR = 4.0
-# inner (level-2 / level-3) budget multiplier on the log term
-INNER_BUDGET_FACTOR = 4.0
 # longest gap between true-residual checks in a residual-target Lanczos run;
 # a run also checks on each step where its recurrence says the target is met
 CHECK_EVERY = 10
@@ -39,7 +37,8 @@ LAMBDA0_PROBES = 20
 # core-matrix jitter: start at JITTER_INITIAL * tr(W)/s, escalate x10 up to JITTER_MAX
 JITTER_INITIAL = 1e-12
 JITTER_MAX = 1e-6
-# floor under every cascaded inner tolerance (double precision has nothing below this)
+# relative residual target of every general-path inner (level-2 / level-3) run:
+# double precision has nothing below this
 EPS_FLOOR = 1e-14
 # Lanczos breakdown tolerance scale
 BREAKDOWN_RTOL = 1e-14

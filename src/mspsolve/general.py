@@ -23,6 +23,9 @@ differs from the PSD path, where it is one direct solve:
            The paper preconditions level 3 with a second, doubly sketched
            Gram so that W is never factored; W is factored here anyway.
 
+Every inner run targets relative residual EPS_FLOOR, the float floor, within
+s steps (inner_lanczos), where the paper sizes each tolerance from cond(M).
+
 The jitter chosen for W is used consistently in all of the above, so every
 inversion identity holds exactly for the operators actually applied.
 Setting lam = 0 solves a general square system A x = b through the normal
@@ -31,7 +34,6 @@ equations c = A^T b; lambda0 > 0 keeps everything invertible even then.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,8 +41,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .config import (EPS_FLOOR, INNER_BUDGET_FACTOR, LAMBDA0_PROBES, sketch_nnz_per_column,
-                     sketch_rows)
+from .config import EPS_FLOOR, LAMBDA0_PROBES, sketch_nnz_per_column, sketch_rows
 from .core import MatrixHandle, as_vector
 # power_method_norm is unused here, but tracers rebind it by this name.
 from .core import power_method_norm  # noqa: F401
@@ -120,7 +121,7 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     ||A||_F^2, A S_l^T and the probe block.
     """
     if not isinstance(a, MatrixHandle):
-        a = MatrixHandle(np.asarray(a, dtype=np.float64))
+        a = MatrixHandle(a)
     n = a.cols
     l_eff, _ = clamp_rank(cfg.l, n)
 
@@ -184,16 +185,18 @@ def build_general(a, cfg: GeneralSolveConfig) -> GeneralMspState:
     return state
 
 
-def inner_lanczos(op, rhs, solve_m, t_max, tol, counters, level) -> np.ndarray:
-    """One inner-level Krylov run to relative residual tol, tallied under `level`.
+def inner_lanczos(op, rhs, solve_m, counters, level) -> np.ndarray:
+    """One inner-level Krylov run to relative residual EPS_FLOOR, tallied under `level`.
 
-    The run's stop reason is counted in counters["stop_reasons"][level].  An
-    rhs whose square rhs . rhs is 0 (zero, or underflowing, so that Lanczos
-    could not normalize it) returns zeros and counts no run.
+    It takes at most s = rhs.shape[0] steps, the size of its system, and its
+    stop reason is counted in counters["stop_reasons"][level].  An rhs whose
+    square rhs . rhs is 0 (zero, or underflowing, so that Lanczos could not
+    normalize it) returns zeros and counts no run.
     """
     if float(rhs @ rhs) == 0.0:
         return np.zeros(rhs.shape[0])
-    y, ws = preconditioned_lanczos(op, rhs, solve_m, t_max=t_max, residual_target=tol)
+    y, ws = preconditioned_lanczos(op, rhs, solve_m, t_max=rhs.shape[0],
+                                   residual_target=EPS_FLOOR)
     _tally(counters, level, ws.iterations, ws.status == "budget-exhausted")
     if counters is not None:
         stops = counters.setdefault("stop_reasons", {}).setdefault(level, {})
@@ -201,29 +204,9 @@ def inner_lanczos(op, rhs, solve_m, t_max, tol, counters, level) -> np.ndarray:
     return y
 
 
-def gram_inner(pre, m2_solve, t_max, counters) -> Callable:
-    """Level 2 for apply_minv_via_formula: (rhs, tol) -> y, Lanczos on the Gram system.
-
-    The operator y -> C^T(C y) + lt*(W_j y) is two dense GEMVs on the stored
-    C and W_j; m2_solve preconditions it.
-    """
-    c = pre.C.to_dense()
-    w_j = pre.w_jittered()
-    lt = pre.lambda_tilde
-
-    def g_op(y):
-        return c.T @ (c @ y) + lt * (w_j @ y)
-
-    def inner(rhs, tol):
-        return inner_lanczos(g_op, rhs, m2_solve, t_max, tol, counters, "level2")
-
-    return inner
-
-
 def solve_m2(
     state: GeneralMspState,
     r: np.ndarray,
-    budgets: dict,
     counters: Optional[dict] = None,
 ) -> np.ndarray:
     """Apply M2^{-1} = (W_j^2 + lt*W_j)^{-1} = (W_j^{-1} - (W_j+lt*I)^{-1})/lt.
@@ -232,45 +215,35 @@ def solve_m2(
     its own matrix's inverse, m3a_inv or m3b_inv: one GEMV per step.
     """
     r = as_vector(r, state.s)
-    lt = state.lambda_tilde
-    w_j = state.w_jittered()
+    lt, w_j = state.lambda_tilde, state.w_jittered()
     m3a_inv, m3b_inv = state.m3a_inv, state.m3b_inv
-    t3, eps2 = budgets["t3"], budgets["eps2"]
-
-    def w_op(y):
-        return w_j @ y
-
-    def w_shift_op(y):
-        return w_j @ y + lt * y
-
-    def m3a(y):
-        return m3a_inv @ y
-
-    def m3b(y):
-        return m3b_inv @ y
-
-    u = inner_lanczos(w_op, r, m3a, t3, eps2, counters, "level3a")
-    v = inner_lanczos(w_shift_op, r, m3b, t3, eps2, counters, "level3b")
+    u = inner_lanczos(lambda y: w_j @ y, r, lambda y: m3a_inv @ y, counters, "level3a")
+    v = inner_lanczos(lambda y: w_j @ y + lt * y, r, lambda y: m3b_inv @ y, counters,
+                      "level3b")
     return (u - v) / lt
 
 
 def solve_m1_general(
     state: GeneralMspState,
     r: np.ndarray,
-    budgets: dict,
     counters: Optional[dict] = None,
 ) -> np.ndarray:
     """Approximate M^{-1} r through the inversion formula on the stored C.
 
     Level-2 system: (C^T C + lt*W_j) y = C^T r, Lanczos on the operator
-    y -> C^T(C y) + lt*(W_j y) (gram_inner) preconditioned by SolveM2;
+    y -> C^T(C y) + lt*(W_j y), two dense GEMVs, preconditioned by SolveM2;
     then w = (r - C y) / lt.  No product with A is made.
     """
-    def m2_solve(rr):
-        return solve_m2(state, rr, budgets, counters)
+    c, w_j, lt = state.C.to_dense(), state.w_jittered(), state.lambda_tilde
 
-    inner = gram_inner(state, m2_solve, budgets["t2"], counters)
-    return apply_minv_via_formula(state, r, inner, budgets["eps1"])
+    def g_op(y):
+        return c.T @ (c @ y) + lt * (w_j @ y)
+
+    def level2(rhs):
+        return inner_lanczos(g_op, rhs, lambda rr: solve_m2(state, rr, counters), counters,
+                             "level2")
+
+    return apply_minv_via_formula(state, r, level2)
 
 
 def solve_normal(
@@ -294,41 +267,19 @@ def solve_normal(
     block products A_tilde = A S^T and C = A^T A_tilde.
     """
     if not isinstance(a, MatrixHandle):
-        a = MatrixHandle(np.asarray(a, dtype=np.float64))
+        a = MatrixHandle(a)
     c = as_vector(c, a.cols)
     counters: dict = {"level2_total": 0, "level2_runs": 0, "level3a_total": 0, "level3b_total": 0}
 
-    def gram_op(x):
-        return a.rmatvec(a.matvec(x))
-
-    def level2_for(state, kappa_mat):
-        # Inner targets cascade from kappa_mat: eps0 for SolveM1, eps1 for
-        # level 2 (budget t2), eps2 for level 3 (budget t3).
-        eps0 = max(EPS_FLOOR, cfg.eps / (kappa_mat * a.cols))
-        eps1 = max(EPS_FLOOR, eps0 / kappa_mat**1.5)
-        eps2 = max(EPS_FLOOR, eps0 / (4.0 * kappa_mat * cfg.l))
-        budgets = {
-            "t2": int(math.ceil(INNER_BUDGET_FACTOR
-                                * math.log(max(kappa_mat / eps1, math.e)))),
-            "t3": int(math.ceil(INNER_BUDGET_FACTOR
-                                * math.log(max(9.0 * cfg.l / eps2, math.e)))),
-            "eps1": eps1, "eps2": eps2, "eps0": eps0,
-        }
-
-        def solve_m(r):
-            return solve_m1_general(state, r, budgets, counters)
-
-        return solve_m, budgets
-
     def path_diagnostics(state):
-        exhausted = counters.get("level2_exhausted", 0)
         stops = counters.get("stop_reasons", {})
         out = {"inner_stop_reasons": {level: stops[level] for level in sorted(stops)}}
-        if exhausted:
-            out["inner_budget_exhausted"] = exhausted
+        if counters.get("level2_exhausted"):
+            out["inner_budget_exhausted"] = counters["level2_exhausted"]
         return out
 
     return solve_level1(
-        "msp-general", gram_op, c, cfg, state, lambda: build_general(a, cfg),
-        level2_for, counters, path_diagnostics, products=2, trace=trace,
+        "msp-general", lambda x: a.rmatvec(a.matvec(x)), c, cfg, state,
+        lambda: build_general(a, cfg), lambda pre, r: solve_m1_general(pre, r, counters),
+        counters, path_diagnostics, products=2, trace=trace,
     )

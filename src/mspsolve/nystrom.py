@@ -345,8 +345,8 @@ def build_nystrom_psd(
     """
     if isinstance(a, MatrixHandle):
         n = a.rows
-    elif not callable(a) or isinstance(a, np.ndarray):
-        a = MatrixHandle(np.asarray(a, dtype=np.float64), sym="spd")
+    elif not callable(a):
+        a = MatrixHandle(a, sym="spd")
         n = a.rows
     elif n is None:
         raise DomainError("operator-only A needs an explicit dimension n")
@@ -398,18 +398,17 @@ def build_nystrom_psd(
 def apply_minv_via_formula(
     pre,
     r: np.ndarray,
-    inner_solve: Callable[[np.ndarray, float], np.ndarray],
-    eps1: float,
+    inner_solve: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """M^{-1} r through the inversion formula with an inexact inner solve.
+    """M^{-1} r = (r - C y_hat) / lt through the inversion formula, y_hat = inner_solve(C^T r).
 
     `pre` is a NystromPreconditioner (of A, or of A^T A on the
-    normal-equations path).  inner_solve(rhs, eps1) must
-    return y_hat approximating the solution of (C^T C + lt*W_j) y = rhs with
-    relative energy-norm error <= eps1; then w_hat = (r - C y_hat) / lt.
+    normal-equations path); y_hat approximates the solution y of
+    (C^T C + lt*W_j) y = C^T r.  The general path's level 2
+    (general.inner_lanczos) stops on a relative residual of EPS_FLOOR in
+    that system, not on an energy-norm error.
     """
     r = as_vector(r, pre.n)
     c = pre.C.to_dense()
-    rhs = c.T @ r
-    y = inner_solve(rhs, eps1)
+    y = inner_solve(c.T @ r)
     return (r - c @ y) / pre.lambda_tilde

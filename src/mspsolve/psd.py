@@ -12,8 +12,10 @@ step WARMUP_ITERS, only where its Krylov space closed); at step
 WARMUP_ITERS its Ritz spread (inflated x2) also sets its budget.
 `two_phase_lanczos` runs that scheme, and the plain-Lanczos baseline runs on
 it too.  `solve_level1` is level 1 around it for any PSD B with a Nystrom
-preconditioner: `solve_psd` runs it on B = A with the level 2 above, and the
-normal-equations solver (general.py) on B = A^T A with its own level 2.
+preconditioner, and each path hands it its level-2 function
+level2(pre, r) -> M^{-1} r: `solve_psd` runs it on B = A with the direct
+level 2 above (solve_m1_psd), and the normal-equations solver (general.py)
+on B = A^T A with its iterative one (solve_m1_general).
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def solve_level1(
     cfg: PsdSolveConfig,
     pre: Optional[NystromPreconditioner],
     build: Callable[[], NystromPreconditioner],
-    level2_for: Callable,
+    level2: Callable[[NystromPreconditioner, np.ndarray], np.ndarray],
     counters: dict,
     path_diagnostics: Callable[[NystromPreconditioner], dict],
     *,
@@ -166,13 +168,12 @@ def solve_level1(
     op applies B, the PSD matrix `pre` approximates: A on the PSD path, A^T A
     on the normal-equations path, at `products` products with A per apply.
     `pre` is build() unless given; its ||B|| estimate pm_norm, the top
-    eigenvalue of B's Nystrom approximation, gives kappa_mat = cond(M).
-    level2_for(pre, kappa_mat) returns the SolveM and the diagnostics of any
-    inner budgets it derives from kappa_mat.  The SolveM adds its inner
-    iteration counts to `counters`, whose keys (all zero on entry) join
-    level1 (every level-1 step) and warmup (the steps up to the Ritz read)
-    in the report's iterations; path_diagnostics(pre) adds the path's own
-    diagnostics.
+    eigenvalue of B's Nystrom approximation, gives kappa_mat = cond(M),
+    level 1's fallback condition estimate.  level2(pre, r) returns M^{-1} r
+    (the SolveM) and adds its inner iteration counts to `counters`, whose
+    keys (all zero on entry) join level1 (every level-1 step) and warmup
+    (the steps up to the Ritz read) in the report's iterations;
+    path_diagnostics(pre) adds the path's own diagnostics.
     matvecs counts the products with A this call made: level 1's steps and
     its one true residual, and pre.build_matvecs when this call built `pre`.
     """
@@ -198,12 +199,10 @@ def solve_level1(
     built = pre is None
     if built:
         pre = build()
-    pm, lt = pre.pm_norm, pre.lambda_tilde
-    kappa_mat = (pm + lt) / lt  # cond(M): M = B_nys + lt*I tops out at mu_max + lt
-    solve_m, budget_diag = level2_for(pre, kappa_mat)
-
-    x, ws, kappa_m, read_diag = two_phase_lanczos(b_op, b, solve_m, kappa_mat, cfg.eps,
-                                                  trace=trace)
+    # cond(M): M = B_nys + lt*I tops out at mu_max + lt
+    kappa_mat = (pre.pm_norm + pre.lambda_tilde) / pre.lambda_tilde
+    x, ws, kappa_m, read_diag = two_phase_lanczos(b_op, b, lambda r: level2(pre, r), kappa_mat,
+                                                  cfg.eps, trace=trace)
     pre.kappa_hat = kappa_m
     return report(
         {"level1": ws.iterations, "warmup": min(ws.iterations, WARMUP_ITERS)},
@@ -216,7 +215,6 @@ def solve_level1(
             "l_clamped": pre.l != cfg.l,
             "kappa_mat_estimate": kappa_mat,
             "preconditioner": pre.diagnostics(),
-            **budget_diag,
             **read_diag,
             **path_diagnostics(pre),
         },
@@ -243,19 +241,13 @@ def solve_psd(
     """
     b = as_vector(b)
     n = b.shape[0]
-    if isinstance(a, np.ndarray):
+    if not isinstance(a, MatrixHandle) and not callable(a):
         a = MatrixHandle(a, sym="spd")
     counters: dict = {"level2_total": 0, "level2_runs": 0}
 
     def build():
         l_eff = clamp_rank(cfg.l, n)[0]
         return build_nystrom_psd(a, l_eff, cfg.lam, cfg.delta, cfg.seed, n=n)
-
-    def level2_for(pre, kappa_mat):
-        def solve_m(r):
-            return solve_m1_psd(pre, r, counters)
-
-        return solve_m, {}
 
     def path_diagnostics(pre):
         return {
@@ -268,6 +260,7 @@ def solve_psd(
         }
 
     return solve_level1(
-        "msp-psd", operator_of(a), b, cfg, pre, build, level2_for, counters, path_diagnostics,
+        "msp-psd", operator_of(a), b, cfg, pre, build,
+        lambda pre, r: solve_m1_psd(pre, r, counters), counters, path_diagnostics,
         products=1, trace=trace,
     )

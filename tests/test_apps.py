@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mspsolve.apps
 import mspsolve.core
 import mspsolve.nystrom
 import mspsolve.psd
+from mspsolve import PsdSolveConfig, solve_psd
 from mspsolve.apps import (
     KernelSpec,
     RidgeBlackBox,
@@ -15,7 +17,8 @@ from mspsolve.apps import (
 )
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
-from mspsolve.general import GeneralSolveConfig, build_general
+from mspsolve.bench import solve_plain_lanczos
+from mspsolve.general import GeneralSolveConfig, build_general, solve_normal
 from mspsolve.instances import InstanceSpec, gen_instance
 
 import oracles
@@ -258,7 +261,7 @@ def test_krr_second_call_on_a_handle_reuses_its_read(monkeypatch, path):
     assert rep.diagnostics["d_lambda_estimate"] == want.diagnostics["d_lambda_estimate"]
 
 
-def test_krr_changed_lambda_delta_or_seed_reads_again(monkeypatch):
+def test_krr_changed_lambda_or_seed_reads_again(monkeypatch):
     builds = []
     original = mspsolve.nystrom.build_nystrom_psd
 
@@ -271,7 +274,7 @@ def test_krr_changed_lambda_delta_or_seed_reads_again(monkeypatch):
     y = np.random.default_rng(6).standard_normal(k.rows)
     base = {"lam": lam, "delta": 0.01, "seed": 1}
     # The handle keeps one entry, so going back to the first key reads again.
-    for change in ({}, {"lam": 2.0 * lam}, {"delta": 0.02}, {"seed": 2}, {}):
+    for change in ({}, {"lam": 2.0 * lam}, {"seed": 2}, {}):
         before = len(builds)
         rep = solve_krr(k, y, eps=1e-6, **{**base, **change})
         assert rep.method == "krr"
@@ -279,7 +282,22 @@ def test_krr_changed_lambda_delta_or_seed_reads_again(monkeypatch):
         assert len(builds) == before + 1
     rep = solve_krr(k, y, eps=1e-3, **base)  # eps is not part of the key
     assert rep.diagnostics["d_lambda_read"] == "reused"
-    assert len(builds) == 5
+    assert len(builds) == 4
+
+
+@pytest.mark.parametrize("path", ["dense", "msp"])
+def test_krr_changed_delta_reuses_the_read(monkeypatch, path):
+    # delta does not size the PSD sketch, so it is not part of the key.
+    k, lam = _krr_instance(path)
+    y = np.random.default_rng(6).standard_normal(k.rows)
+    want = solve_krr(MatrixHandle(k.to_dense(), sym="spd"), y, lam=lam, eps=1e-6, delta=0.02,
+                     seed=1)
+    assert solve_krr(k, y, lam=lam, eps=1e-6, seed=1).diagnostics["d_lambda_read"] == "built"
+    monkeypatch.setattr(mspsolve.apps, "_estimate_effective_dim", _forbidden)
+    rep = solve_krr(k, y, lam=lam, eps=1e-6, delta=0.02, seed=1)
+    assert rep.diagnostics["d_lambda_read"] == "reused"
+    assert rep.config_echo["delta"] == 0.02
+    assert np.array_equal(rep.x, want.x)
 
 
 def test_krr_second_dense_fallback_call_does_not_factor_again(monkeypatch):
@@ -366,6 +384,10 @@ def test_general_build_norm_is_the_top_eigenvalue_of_the_gram(ratio):
 
 def test_krr_rejects_delta_outside_open_half_interval():
     k = kernel_matrix(KernelSpec(kind="rbf", points=cluster_points(100, 2, seed=1)))
+    with pytest.raises(DomainError):
+        solve_krr(k, np.ones(100), lam=1e-2, eps=1e-6, delta=0.7)
+    # A reused read is no way around the check.
+    solve_krr(k, np.ones(100), lam=1e-2, eps=1e-6)
     with pytest.raises(DomainError):
         solve_krr(k, np.ones(100), lam=1e-2, eps=1e-6, delta=0.7)
 
@@ -534,3 +556,47 @@ def test_least_squares_validation():
         solve_least_squares(rng.standard_normal((10, 20)), np.ones(10), eps=1e-6)
     with pytest.raises(DomainError):
         solve_least_squares(rng.standard_normal((20, 10)), np.ones(20), eps=1.0)
+
+
+# -- raw scipy.sparse input ----------------------------------------------------------------
+
+
+def _sparse_twins(m, n, seed):
+    """A CSR matrix with a flat spectrum after adding I, and its dense twin."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(m, n, density=0.05, random_state=rng, format="csr")
+    if m == n:
+        a = (a @ a.T + sp.identity(n)).tocsr()
+    else:
+        a = (a + sp.eye(m, n)).tocsr()
+    return a, a.toarray()
+
+
+def _solve_with(name, a, rhs):
+    if name == "msp-psd":
+        return solve_psd(a, rhs, PsdSolveConfig(l=12, eps=1e-12, seed=3))
+    if name == "plain-lanczos":
+        return solve_plain_lanczos(a, rhs, eps=1e-12)
+    if name == "krr":
+        return solve_krr(a, rhs, lam=0.5, eps=1e-12, seed=3)
+    if name == "msp-general":
+        return solve_normal(a, rhs, GeneralSolveConfig(l=12, lam=0.5, eps=1e-12, seed=3))
+    if name == "least-squares":
+        return solve_least_squares(a, rhs, eps=1e-12, seed=3)
+    bb = RidgeBlackBox(a, lam=0.5, l=12, seed=3)
+    return ridge_blackbox_solve(bb, rhs, 1e-12)
+
+
+@pytest.mark.parametrize("name", ["msp-psd", "plain-lanczos", "krr", "msp-general",
+                                  "least-squares", "ridge-blackbox"])
+def test_raw_sparse_matrix_solves_like_its_dense_twin(name):
+    square = name in ("msp-psd", "plain-lanczos", "krr")
+    m, n = (200, 200) if square else (300, 120)
+    a, dense = _sparse_twins(m, n, seed=9)
+    rng = np.random.default_rng(10)
+    rhs = rng.standard_normal(m if name == "least-squares" else n)
+    got, want = _solve_with(name, a, rhs), _solve_with(name, dense, rhs)
+    if name != "ridge-blackbox":  # ridge_blackbox_solve returns x alone
+        assert got.converged and want.converged
+        got, want = got.x, want.x
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)

@@ -301,6 +301,23 @@ def test_cli_bench_subcommand(capsys):
     assert payload["instance"]["generator"] == "k-large-psd"
 
 
+@pytest.mark.parametrize("kind,k", [("k-large-psd", 8), ("k-large-psd", 2),
+                                     ("rbf-kernel", 8)])
+def test_cli_bench_and_compare_echo_the_same_default_l(tmp_path, capsys, kind, k):
+    # k = 8 lifts l to 2k = 16 over max(ceil(log2 n) + 1, 8) = 10 at n = 512;
+    # k = 2 and a kernel instance keep 10.
+    instance = ["--kind", kind, "--n", "512", "--k", str(k)]
+    out = tmp_path / "cmp.json"
+    assert cli_main(["bench", *instance, "--method", "msp-psd",
+                     "--json-out", str(tmp_path / "bench.json")]) in (0, 2)
+    assert cli_main(["compare", *instance, "--solvers", "msp-psd",
+                     "--warmup-runs", "0", "--json-out", str(out)]) in (0, 2)
+    capsys.readouterr()
+    bench_l = json.loads((tmp_path / "bench.json").read_text())["config"]["l"]
+    compare_l = json.loads(out.read_text())["instance"]["l"]
+    assert bench_l == compare_l == (16 if (kind, k) == ("k-large-psd", 8) else 10)
+
+
 def test_cli_has_no_config_flag(capsys):
     # Solver constants live in mspsolve.config; no flag or file overrides them.
     assert cli_main(["--config", "f", "compare"]) == 1

@@ -22,9 +22,6 @@ from mspsolve.instances import InstanceSpec, gen_instance
 
 import oracles
 
-BIG_BUDGETS = {"t2": 400, "t3": 400, "eps1": 1e-13, "eps2": 1e-13, "eps0": 1e-13}
-
-
 def svd_matrix(m, n, sigmas, seed):
     """A = U diag(sigmas) V^T with random orthonormal factors."""
     rng = np.random.default_rng(seed)
@@ -210,7 +207,7 @@ def test_solve_m1_matches_dense_preconditioner_inverse():
     c_block = a.T @ state.a_tilde.to_dense()
     rng = np.random.default_rng(25)
     r = rng.standard_normal(n)
-    got = solve_m1_general(state, r, BIG_BUDGETS)
+    got = solve_m1_general(state, r)
     want = oracles.dense_minv_apply(c_block, state.w_jittered(), state.lambda_tilde, r)
     assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -251,7 +248,7 @@ def test_solve_m1_makes_no_product_with_a():
     state = build_general(a, GeneralSolveConfig(l=10, lam=0.3, seed=24))
     a.calls = 0
     r = np.random.default_rng(25).standard_normal(n)
-    got = solve_m1_general(state, r, BIG_BUDGETS)
+    got = solve_m1_general(state, r)
     assert a.calls == 0
     want = oracles.dense_minv_apply(dense.T @ state.a_tilde.to_dense(), state.w_jittered(),
                                     state.lambda_tilde, r)
@@ -279,9 +276,7 @@ def test_matvecs_counts_only_the_products_with_a_that_run():
 def test_solve_m1_zero_residual_gives_zero():
     a = svd_matrix(60, 48, flat_tail_sigmas(48, 4, 10.0, seed=26), seed=27)
     state = build_general(a, GeneralSolveConfig(l=8, lam=0.1, seed=28))
-    assert np.array_equal(
-        solve_m1_general(state, np.zeros(48), BIG_BUDGETS), np.zeros(48)
-    )
+    assert np.array_equal(solve_m1_general(state, np.zeros(48)), np.zeros(48))
 
 
 def test_solve_m2_matches_dense_resolvent_difference():
@@ -289,11 +284,11 @@ def test_solve_m2_matches_dense_resolvent_difference():
     state = build_general(a, GeneralSolveConfig(l=8, lam=0.2, seed=31))
     rng = np.random.default_rng(32)
     r = rng.standard_normal(state.s)
-    got = solve_m2(state, r, BIG_BUDGETS)
+    got = solve_m2(state, r)
     lt, w_j = state.lambda_tilde, state.w_jittered()
     want = np.linalg.solve(w_j @ w_j + lt * w_j, r)
     assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
-    assert np.array_equal(solve_m2(state, np.zeros(state.s), BIG_BUDGETS),
+    assert np.array_equal(solve_m2(state, np.zeros(state.s)),
                           np.zeros(state.s))
 
 
@@ -304,7 +299,7 @@ def test_solve_m2_huge_shift_limit():
     state = build_general(a, GeneralSolveConfig(l=8, lam=lam, seed=35))
     rng = np.random.default_rng(36)
     r = rng.standard_normal(state.s)
-    got = solve_m2(state, r, BIG_BUDGETS)
+    got = solve_m2(state, r)
     lt, w_j = state.lambda_tilde, state.w_jittered()
     want = np.linalg.solve(w_j @ w_j + lt * w_j, r)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
@@ -360,6 +355,25 @@ def test_level3_runs_close_within_two_steps():
         runs = stops[level].get("residual-target", 0)
         assert runs > 0 and stops[level] == {"residual-target": runs}, level
         assert rep.iterations[level + "_total"] <= 2 * runs, level
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8])
+def test_every_inner_run_stops_within_its_system_size(eps):
+    # Each inner run targets the float floor and may take at most s steps,
+    # the size of its system; none runs out of them.
+    spec = InstanceSpec("k-large-general", n=128, m=600, k=4, ratio=100.0, seed=3)
+    a, b, _ = gen_instance(spec)
+    rep = solve_normal(a, a.rmatvec(b), GeneralSolveConfig(l=8, lam=0.5, eps=eps, seed=4))
+    assert rep.converged
+    s = rep.diagnostics["preconditioner"]["s"]
+    stops = rep.diagnostics["inner_stop_reasons"]
+    assert set(stops) == {"level2", "level3a", "level3b"}
+    for level, reasons in stops.items():
+        runs = sum(reasons.values())
+        assert runs > 0, level
+        assert rep.iterations[level + "_total"] <= s * runs, level
+        assert "t-max" not in reasons, level
+    assert sum(stops["level2"].values()) == rep.iterations["level2_runs"]
 
 
 def test_build_general_draws_no_subspace_embedding(monkeypatch):
@@ -429,8 +443,7 @@ def test_inner_lanczos_returns_zeros_for_an_rhs_whose_square_underflows():
     # zero test reads the squared norm, not whether any entry is nonzero.
     counters = {}
     rhs = np.full(8, 1e-170)
-    y = mspsolve.general.inner_lanczos(lambda v: v, rhs, lambda v: v, 10, 1e-8,
-                                       counters, "level3a")
+    y = mspsolve.general.inner_lanczos(lambda v: v, rhs, lambda v: v, counters, "level3a")
     assert np.array_equal(y, np.zeros(8))
     assert counters == {}
 
