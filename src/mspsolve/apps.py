@@ -37,33 +37,42 @@ class KernelSpec:
     coef0: float = 1.0
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        # C order: kernel_matrix's x @ x.T must be one syrk.
+        self.points = np.ascontiguousarray(self.points, dtype=np.float64)
         if self.points.ndim != 2:
             raise DomainError("points must be an n x d array")
+        if not np.all(np.isfinite(self.points)):
+            raise DomainError("points contain NaN or Inf")
         if self.kind not in ("rbf", "linear", "polynomial"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth <= 0.0:
+        if not self.bandwidth > 0.0:
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.kind == "polynomial" and (self.degree < 1 or self.coef0 < 0):
-            raise DomainError("polynomial kernel needs degree >= 1 and coef0 >= 0")
+        if self.kind == "polynomial" and not (
+            float(self.degree).is_integer() and self.degree >= 1 and self.coef0 >= 0
+        ):
+            raise DomainError("polynomial kernel needs an integer degree >= 1 and coef0 >= 0")
 
 
 def kernel_matrix(spec: KernelSpec) -> MatrixHandle:
     """Materialize the dense kernel Gram matrix (desk scale, n <~ 8000).
 
+    K is built in the one n x n array squareform or x @ x.T returns (peak
+    1.5*n^2 doubles for rbf, n^2 otherwise), symmetric to the bit: squareform
+    mirrors each entry, and x @ x.T on C-ordered points is one BLAS syrk.
     A 1e-10-relative diagonal jitter keeps borderline-PSD kernels factorable.
     """
     x = spec.points
     if spec.kind == "rbf":
-        sq = scipy.spatial.distance.squareform(
+        k = scipy.spatial.distance.squareform(
             scipy.spatial.distance.pdist(x, metric="sqeuclidean"), checks=False
         )
-        k = np.exp(-sq / (2.0 * spec.bandwidth**2))
-    elif spec.kind == "linear":
-        k = x @ x.T
+        np.divide(k, -(2.0 * spec.bandwidth**2), out=k)  # a/(-c) == (-a)/c exactly
+        np.exp(k, out=k)
     else:
-        k = (x @ x.T + spec.coef0) ** spec.degree
-    k = 0.5 * (k + k.T)
+        k = x @ x.T
+        if spec.kind == "polynomial":
+            k += spec.coef0
+            k **= spec.degree
     n = k.shape[0]
     k[np.diag_indices(n)] += 1e-10 * (np.trace(k) / n)
     return MatrixHandle(k, sym="spd")

@@ -78,10 +78,10 @@ class GeneralMspState(NystromPreconditioner):
 
 
 def _frobenius_sq(a: MatrixHandle) -> float:
+    """||A||_F^2 as one BLAS dot over the stored entries, with no m x n temporary."""
     raw = a.raw()
-    if sp.issparse(raw):
-        return float(np.sum(raw.data**2))
-    return float(np.sum(raw**2))
+    v = raw.data if sp.issparse(raw) else raw.ravel()
+    return float(v @ v)
 
 
 def _cho_inverse(factor: tuple) -> np.ndarray:

@@ -8,6 +8,7 @@ does not import anything from mspsolve.
 
 import numpy as np
 import scipy.linalg
+import scipy.spatial.distance
 
 
 def matvec_triple_loop(a, x):
@@ -189,3 +190,26 @@ def least_squares_qr(a, b):
     """argmin ||Ax - b|| by explicit thin QR."""
     q, r = np.linalg.qr(np.asarray(a, dtype=np.float64))
     return scipy.linalg.solve_triangular(r, q.T @ np.asarray(b, dtype=np.float64))
+
+
+def kernel_gram_reference(kind, points, bandwidth=1.0, degree=2, coef0=1.0):
+    """Dense kernel Gram by the textbook formulas, then symmetrized and jittered.
+
+    Each form is built into fresh temporaries and averaged with its
+    transpose; the diagonal gets the 1e-10-relative jitter kernel_matrix
+    adds, so on contiguous points the two agree to the bit.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    if kind == "rbf":
+        sq = scipy.spatial.distance.squareform(
+            scipy.spatial.distance.pdist(x, metric="sqeuclidean"), checks=False
+        )
+        k = np.exp(-sq / (2.0 * bandwidth**2))
+    elif kind == "linear":
+        k = x @ x.T
+    else:
+        k = (x @ x.T + coef0) ** degree
+    k = 0.5 * (k + k.T)
+    n = k.shape[0]
+    k[np.diag_indices(n)] += 1e-10 * (np.trace(k) / n)
+    return k

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -56,6 +58,61 @@ def test_kernel_spec_validation():
         KernelSpec(kind="rbf", points=pts, bandwidth=0.0)
     with pytest.raises(DomainError):
         KernelSpec(kind="polynomial", points=pts, degree=0)
+    # Raised by the spec itself, before any n x n array or RuntimeWarning.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            KernelSpec(kind="rbf", points=np.array([[0.0, 1.0], [bad, 2.0]]))
+    with pytest.raises(DomainError):
+        KernelSpec(kind="polynomial", points=pts, degree=2.5)
+    with pytest.raises(DomainError):
+        KernelSpec(kind="rbf", points=pts, bandwidth=np.nan)
+
+
+_KERNEL_KINDS = [
+    ("rbf", {"bandwidth": 1.3}),
+    ("linear", {}),
+    ("polynomial", {"degree": 2, "coef0": 1.0}),
+    ("polynomial", {"degree": 3, "coef0": 0.5}),
+]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("kind,params", _KERNEL_KINDS)
+def test_kernel_matrix_equals_the_reference_formula_to_the_bit(kind, params, order):
+    pts = np.asarray(cluster_points(300, 7, seed=4), order=order)
+    k = kernel_matrix(KernelSpec(kind=kind, points=pts, **params)).to_dense()
+    assert np.array_equal(k, oracles.kernel_gram_reference(kind, pts, **params))
+
+
+@pytest.mark.parametrize("kind,params", _KERNEL_KINDS)
+@pytest.mark.parametrize("d", [2, 7, 40])
+def test_kernel_matrix_is_exactly_symmetric_on_strided_points(kind, params, d):
+    # A strided view's x @ x.T is not one syrk and can come out asymmetric;
+    # the spec's C-ordered copy makes it so.
+    pts = cluster_points(500, 2 * d, seed=6)[:, ::2]
+    k = kernel_matrix(KernelSpec(kind=kind, points=pts, **params)).to_dense()
+    assert np.array_equal(k, k.T)
+    ref = oracles.kernel_gram_reference(kind, np.ascontiguousarray(pts), **params)
+    assert np.array_equal(k, ref)
+
+
+@pytest.mark.parametrize("kind,params,bound", [
+    ("rbf", {}, 1.6),
+    ("linear", {}, 1.25),
+    ("polynomial", {"degree": 2}, 1.25),
+])
+def test_kernel_matrix_peak_memory(kind, params, bound):
+    # One n x n buffer: rbf also holds pdist's condensed n(n-1)/2 distances,
+    # and the handle's finiteness check an n x n bool mask.
+    n = 1000
+    spec = KernelSpec(kind=kind, points=cluster_points(n, 3, seed=2), **params)
+    tracemalloc.start()
+    try:
+        kernel_matrix(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * n * n
 
 
 def test_rbf_kernel_entries():
@@ -132,6 +189,18 @@ def test_krr_at_a_tight_eps_converges_within_eps():
     x_star = np.linalg.solve(reg, y)
     e = rep.x - x_star
     assert np.sqrt(e @ reg @ e) <= 1e-10 * np.sqrt(x_star @ y)
+
+
+def test_krr_on_the_krr_smooth_instance_matches_a_reference_kernel_to_the_bit():
+    n, lam = 1500, 1e-2
+    k, _, _ = gen_instance(InstanceSpec("rbf-kernel", n=n, bandwidth=1.0, seed=1))
+    k_ref = MatrixHandle(oracles.kernel_gram_reference("rbf", k.points, 1.0), sym="spd")
+    assert np.array_equal(k.to_dense(), k_ref.to_dense())
+    y = np.random.default_rng(2).standard_normal(n)
+    rep = solve_krr(k, y, lam=lam, eps=1e-6)
+    rep_ref = solve_krr(k_ref, y, lam=lam, eps=1e-6)
+    assert rep.converged
+    assert np.array_equal(rep.x, rep_ref.x)
 
 
 def test_krr_huge_lambda_is_immediate():
