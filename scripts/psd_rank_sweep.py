@@ -3,10 +3,11 @@
     PYTHONPATH=src python scripts/psd_rank_sweep.py
 
 The rank cases take k-large-psd (n = 3072, k = 32, ratio 1e4) at instance
-seeds 1-3, lambda = 0, eps = 1e-8, and l in {24, 32, 64, 128}.  Each line gives
-the sketch shape (s, gamma) of the build, the best of three build times, the
-level-1 steps of each of three right-hand sides, and the largest audited error
-||x - x*||_A / ||x*||_A over eps, x* from a SciPy Cholesky solve.  The single
+seeds 1-3, lambda = 0, eps = 1e-8, and l in {16, 24, 32, 64, 128}.  Each line
+gives the sketch shape (s, gamma) of the build, its shift lambda0, the best of
+three build times, the level-1 steps of each of three right-hand sides, and
+the largest audited error ||x - x*||_A / ||x*||_A over eps, x* from a SciPy
+Cholesky solve.  The single
 shot cases take (n, k) = (3072, 32) and (6144, 64), l = 2k, instance seed 1: one
 solve_psd call that builds its own preconditioner against one
 solve_plain_lanczos call on the same right-hand side, best of three each.  To
@@ -25,7 +26,7 @@ from mspsolve.bench import solve_plain_lanczos
 from mspsolve.nystrom import build_nystrom_psd
 
 N, K, RATIO, LAM, EPS = 3072, 32, 1e4, 0.0, 1e-8
-RANKS = [24, 32, 64, 128]
+RANKS = [16, 24, 32, 64, 128]
 INSTANCE_SEEDS = [1, 2, 3]
 RHS = 3
 SINGLE_SHOT = [(3072, 32), (6144, 64)]
@@ -58,7 +59,8 @@ def rank_sweep():
                 steps.append(rep.iterations["level1"])
                 worst = max(worst, err / EPS)
             print(f"instance {inst} l={l:3d}: s={pre.s} gamma={pre.gamma} "
-                  f"build={t_build:.3f} s level1={steps} max err/eps={worst:.2f}", flush=True)
+                  f"lambda0={pre.lambda0:.3g} build={t_build:.3f} s level1={steps} "
+                  f"max err/eps={worst:.2f}", flush=True)
 
 
 def single_shot():

@@ -51,6 +51,26 @@ class KernelSpec:
             float(self.degree).is_integer() and self.degree >= 1 and self.coef0 >= 0
         ):
             raise DomainError("polynomial kernel needs an integer degree >= 1 and coef0 >= 0")
+        if self.kind != "rbf" and self._log_trace_bound() >= math.log(np.finfo(np.float64).max):
+            raise DomainError(f"{self.kind} kernel entries overflow float64")
+
+    def _log_trace_bound(self) -> float:
+        """log(n * (max_i ||x_i||^2 + coef0)^degree), in O(n d) without overflow.
+
+        |x_i . x_j| <= max_i ||x_i||^2 (Cauchy-Schwarz), so that power is
+        the largest entry of a linear or polynomial K, its diagonal at the
+        longest point, and n times it bounds tr(K).
+        """
+        degree, coef0 = (self.degree, self.coef0) if self.kind == "polynomial" else (1, 0.0)
+        x = self.points
+        scale = float(np.max(np.abs(x), initial=0.0))
+        log_sq = -math.inf
+        if scale > 0.0:
+            u = x / scale
+            log_sq = 2.0 * math.log(scale) + math.log(float(np.max(np.einsum("ij,ij->i", u, u))))
+        if coef0 > 0.0:
+            log_sq = float(np.logaddexp(log_sq, math.log(coef0)))
+        return math.log(max(x.shape[0], 1)) + degree * log_sq
 
 
 def kernel_matrix(spec: KernelSpec) -> MatrixHandle:

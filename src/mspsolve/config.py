@@ -32,7 +32,8 @@ WARMUP_ITERS = 10
 # Ritz inflation f: kappa = f*theta_max/theta_min; level 1's error estimate reads
 # lambda_min as theta_min/f and lambda_max as f*theta_max
 RITZ_INFLATION = 2.0
-# Hutchinson probes for the spectral-tail estimate
+# Hutchinson probes for the normal-equations path's spectral-tail estimate of
+# lambda0; the PSD build shifts by its smallest Nystrom eigenvalue instead
 LAMBDA0_PROBES = 20
 # core-matrix jitter: start at JITTER_INITIAL * tr(W)/s, escalate x10 up to JITTER_MAX
 JITTER_INITIAL = 1e-12

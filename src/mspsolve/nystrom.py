@@ -13,13 +13,13 @@ G >= lt*I, so its Cholesky factorization cannot fail once W has factored.
 The normal-equations path applies the same M^{-1} through the equivalent
 formula (1/lt) * (I - C (C^T C + lt*W_j)^{-1} C^T) (apply_minv_via_formula).
 
-lambda0 compensates for the spectral tail that rank l cannot capture: its
-target value is (2/l) * sum_{i>l} lambda_i(A).  The build reads the
-eigenvalues mu of its own approximation, those of Y Y^T (nystrom_core).
-A_nys <= A gives mu_i <= lambda_i(A), so mu_max stands in for ||A|| and, for
-a matrix, tr(A) - sum_{i<=l} mu_i bounds the tail sum from above.  An
-operator-only A has no exact trace; its tail is estimated stochastically
-from a separate l-row sketch.
+lambda0 shifts the part of the spectrum that the sketch did not resolve.  The
+build reads the eigenvalues mu of its own approximation, those of Y Y^T
+(nystrom_core).  A_nys <= A gives mu_i <= lambda_i(A), so mu_max stands in
+for ||A||, and the PSD build shifts by mu_min, the smallest retained
+eigenvalue, as Frangella, Tropp & Udell do (build_nystrom_psd).  The
+normal-equations path keeps the paper's lambda0 = (2/l) * sum_{i>l}
+lambda_i, estimated by Hutchinson probes (lambda0_from_probes).
 
 W is symmetrized and carries a small diagonal jitter chosen once at build
 time; the jittered W is then used consistently in every formula above, so the
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .config import JITTER_INITIAL, JITTER_MAX, LAMBDA0_PROBES
+from .config import JITTER_INITIAL, JITTER_MAX
 from .core import MatrixHandle, as_vector
 from .errors import DomainError, InconsistentEstimate, SketchRankCollapse
 # make_ose is unused here, but tracers rebind it by this name.
@@ -56,6 +56,13 @@ _SEED_EST = 5
 # config.sketch_rows.
 _PSD_OVERSAMPLE = 2
 _PSD_NNZ = 4
+# A PSD shift lam + mu_i at or below _ZERO_SHIFT * mu_max counts as zero.
+# Once s > rank(A), mu_min is 0 up to roundoff.  On singular A (n = 200-400,
+# rank 20-50, b in range, lam = 0) level 1 broke down or ran to
+# budget-exhausted at a shift of mu_min, of 1e-12 to 1e-8 * mu_max, and at
+# rank 20 of 1e-4 * mu_max; at lam = 1e-17 * mu_max it broke down, at
+# lam = 1e-13 * mu_max it converged.
+_ZERO_SHIFT = 1e-10
 
 
 @dataclass(eq=False)
@@ -64,8 +71,11 @@ class NystromPreconditioner:
 
     `jitter` is the absolute diagonal shift applied to W everywhere it is
     used.  `mu` holds the eigenvalues (ascending) of B's Nystrom
-    approximation, B = A or A^T A.  On the PSD path `Y` is L^{-1} C^T and
-    `inner` the Cholesky factor of G = Y Y^T + lt*I, the level-2 matrix.  The
+    approximation, B = A or A^T A.  lambda_tilde = lam + lambda0, where
+    lambda0 is mu_min on the PSD path (build_nystrom_psd) and the probe
+    estimate of (2/l) * sum_{i>l} lambda_i(B) on the normal-equations path.
+    On the PSD path `Y` is L^{-1} C^T and `inner` the Cholesky factor of
+    G = Y Y^T + lt*I, the level-2 matrix.  The
     normal-equations path builds the same object for A^T A
     (general.GeneralMspState), where `Y` and `inner` are None.
     """
@@ -256,7 +266,9 @@ def estimate_lambda0(
     range, so it is estimated by Hutchinson probing (lambda0_from_probes)
     with Z -> (z^T A z per probe, C^T Z^T), the trace anchored by the probes'
     mean.  A Z^T is one block product; an operator-only A is applied to the
-    probes one at a time.
+    probes one at a time.  No solver calls it since the PSD build shifts by
+    mu_min; the paper's reference build in tests/oracles.py does, and
+    tracers rebind it by this name.
     """
     c_mat = c.to_dense() if isinstance(c, MatrixHandle) else np.asarray(c)
 
@@ -274,6 +286,7 @@ def tail_probe_factor(a, l: int, n: int, gamma: int, seed: int):
     exactly l rows: the main embedding's s = 2l rows can reach s = n on
     small problems, where its Nystrom approximation is exact and the
     estimate collapses to the floor even though the rank-l tail is large.
+    Like estimate_lambda0, it serves the paper's reference build in the tests.
     """
     emb = make_sparse_embedding(l, n, min(gamma, l), seed + _SEED_EST)
     if isinstance(a, MatrixHandle):
@@ -331,14 +344,13 @@ def build_nystrom_psd(
     Sketches C = A S^T and W = S C (psd_sketch), picks the smallest jitter
     that makes W pass Cholesky, forms Y = L^{-1} C^T, Y Y^T and its
     eigenvalues mu (nystrom_core) and factors G = Y Y^T + lt*I in place.
-    pm_norm = mu_max.  For a matrix, lambda0 = (2/l) * max(tr(A) -
-    sum_{i<=l} mu_i, 1e-12*tr(A)) with the exact trace, an upper bound of the
-    tail term.  An operator-only A has no exact trace: its lambda0 is
-    estimated from a separate l-row sketch and LAMBDA0_PROBES probes.
+    pm_norm = mu_max.  lambda0 = mu_min, by the same rule for a matrix and
+    for an operator-only A, unless lam + mu_min is numerically zero (at most
+    _ZERO_SHIFT * mu_max): then lambda0 is the smallest mu_i for which
+    lam + mu_i is not, the smallest nonzero eigenvalue the sketch resolved.
 
     A handle's A is streamed once (S A).  An operator-only A is applied once
-    per column of S^T, of S_l^T and of the probe block; the count is kept as
-    `build_passes`.
+    per column of S^T; the count is kept as `build_passes`.
 
     Raises SketchRankCollapse if W cannot be factored even at the largest
     jitter — re-seeding is the caller's remedy.
@@ -354,23 +366,11 @@ def build_nystrom_psd(
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     matrix = isinstance(a, MatrixHandle)
     c_handle, w, gamma = psd_sketch(a, l, delta, seed, n)
-
-    if matrix:
-        # The diagonal gives tr(A) exactly, without densifying a CSR A.
-        trace = float(a.raw().diagonal().sum())
-        build_passes = 1
-    else:
-        c_l, w_l_chol = tail_probe_factor(a, l, n, gamma, seed)
-        lambda0 = estimate_lambda0(a, c_l, w_l_chol, l, LAMBDA0_PROBES, seed)
-        build_passes = c_handle.cols + l + LAMBDA0_PROBES
-        if lam + lambda0 <= 0.0:
-            raise DomainError(
-                "lambda + lambda0 must be positive; the operator appears to be zero"
-            )
+    build_passes = 1 if matrix else c_handle.cols
     w_factor, w_j, jitter = jittered_cholesky(w, "W")
     y, g, mu = nystrom_core(c_handle.to_dense(), w_factor)
-    if matrix:  # mu[-l:] is all of mu when l exceeds its length
-        lambda0 = (2.0 / l) * max(trace - float(np.sum(mu[-l:])), 1e-12 * trace)
+    # the smallest mu_i with lam + mu_i > _ZERO_SHIFT * mu_max (mu ascending)
+    lambda0 = float(mu[np.searchsorted(mu, _ZERO_SHIFT * mu[-1] - lam, side="right")])
     g[np.diag_indices_from(g)] += lam + lambda0
     # G is exactly symmetric, so its transpose is the Fortran-ordered array
     # LAPACK factors in place, without a copy.

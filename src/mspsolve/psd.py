@@ -254,9 +254,8 @@ def solve_psd(
             "level2_solver": "cholesky",
             "matvec_note": "matvecs counts the A applications this call made: level 1, "
             "and, when it built the preconditioner of an operator-only A, the build's "
-            "applications to the columns of S^T, of the l-row probe sketch and of the "
-            "lambda0 probes (preconditioner.build_passes; a matrix build streams A once "
-            "and adds none)",
+            "applications to the columns of S^T (preconditioner.build_passes; a matrix "
+            "build streams A once and adds none)",
         }
 
     return solve_level1(

@@ -9,7 +9,7 @@ import mspsolve.general
 import mspsolve.psd
 from mspsolve.apps import solve_least_squares
 from mspsolve.bench import solve_plain_lanczos
-from mspsolve.config import LAMBDA0_PROBES, OSE_EPSILON, WARMUP_ITERS, ose_rows
+from mspsolve.config import OSE_EPSILON, WARMUP_ITERS, ose_rows
 from mspsolve.core import MatrixHandle
 from mspsolve.errors import DomainError
 from mspsolve.general import GeneralSolveConfig, solve_normal
@@ -123,6 +123,40 @@ def test_energy_norm_contract_across_sizes(n, eps):
     assert a_norm_rel_err(a, lam, rep.x, x_star) <= eps
 
 
+@pytest.mark.parametrize("lam", [0.0, 1e-14])
+@pytest.mark.parametrize("n, rank, l", [(400, 50, 32), (200, 20, 16)])
+def test_singular_matrix_at_zero_lambda_converges_within_eps(n, rank, l, lam):
+    # s = 2l > rank(A), so mu_min is 0 up to roundoff.  A shift of mu_min,
+    # or of 1e-12 to 1e-8 * mu_max, left level 1 budget-exhausted or broken
+    # down here, and 1e-4 * mu_max did at rank 20; the build shifts by A's
+    # smallest nonzero eigenvalue instead.  b lies in range(A), so x* = A^+ b.
+    rng = np.random.default_rng(rank)
+    q, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    vals = np.logspace(3, 0, rank)
+    a = (q * vals) @ q.T
+    a = 0.5 * (a + a.T)
+    b = q @ rng.standard_normal(rank)
+    rep = solve_psd(a, b, PsdSolveConfig(l=l, lam=lam, eps=1e-8, seed=n))
+    assert rep.status == "converged"
+    assert a_norm_rel_err(a, lam, rep.x, q @ ((q.T @ b) / vals)) <= 1e-8
+
+
+@pytest.mark.parametrize("l", [16, 24, 32, 64])
+def test_mu_min_shift_takes_no_more_steps_than_the_papers(l):
+    # The rank gate at test size: on k-large-psd with 32 outliers, at ranks
+    # below and above their count, the mu_min shift takes no more level-1
+    # steps than the paper's (2/l) * tail shift on the same sketch.
+    for inst in (1, 2, 3):
+        a, b, _ = gen_instance(InstanceSpec("k-large-psd", n=512, k=32, ratio=1e4, seed=inst))
+        cfg = PsdSolveConfig(l=l, lam=0.0, eps=1e-8, seed=0)
+        shipped = solve_psd(a, b, cfg)
+        paper = solve_psd(a, b, cfg, pre=oracles.paper_nystrom_psd(a, l, 0.0, 0.01, 0))
+        assert shipped.converged and paper.converged
+        assert shipped.iterations["level1"] <= paper.iterations["level1"], f"instance {inst}"
+        x_star = np.linalg.solve(a.to_dense(), b)
+        assert a_norm_rel_err(a.to_dense(), 0.0, shipped.x, x_star) <= 1e-8
+
+
 def test_sparse_and_callable_inputs_agree():
     n = 128
     vals = np.concatenate([1e3 * np.ones(8), np.linspace(1.0, 2.0, n - 8)])
@@ -135,15 +169,15 @@ def test_sparse_and_callable_inputs_agree():
     for rep in (rep_sparse, rep_callable):
         assert rep.converged
         assert np.linalg.norm(rep.x - x_star) <= 1e-7 * np.linalg.norm(x_star)
-    # identical sketches either way; lambda0 differs (the matrix's trace
-    # bound against the operator's probes), so x agrees only to tolerance
+    # identical sketches either way, so the same mu_min shift
     assert (rep_sparse.preconditioner.C.to_dense().tobytes()
             == rep_callable.preconditioner.C.to_dense().tobytes())
+    assert rep_sparse.preconditioner.lambda0 == rep_callable.preconditioner.lambda0
 
 
 def test_matvecs_counts_every_application_of_an_operator_only_a():
-    # A building call applies an operator-only A to the s + l sketch columns
-    # and the lambda0 probes one vector at a time; matvecs counts them all.
+    # A building call applies an operator-only A to the s sketch columns one
+    # vector at a time; matvecs counts them all.
     n = 128
     a = flat_tail_psd(n, 8, 1e3, seed=9)
     calls = []
@@ -156,7 +190,7 @@ def test_matvecs_counts_every_application_of_an_operator_only_a():
     rep = solve_psd(op, b, PsdSolveConfig(l=16, lam=0.2, seed=11))
     pre = rep.preconditioner
     assert rep.converged
-    assert pre.build_passes == pre.s + pre.l + LAMBDA0_PROBES
+    assert pre.build_passes == pre.s
     assert len(calls) == rep.matvecs
     assert rep.matvecs == pre.build_passes + rep.iterations["level1"] + len(rep.residual_history)
 
